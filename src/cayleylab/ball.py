@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceError
 from .groups import Element, Group
-from .words import Word, invert
+from .words import Word
 
 VERTEX = 0
 HALF = 1
@@ -370,10 +370,3 @@ class BallIndex:
 
 def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000) -> BallIndex:
     return BallIndex(group, radius, max_vertices)
-
-
-def loop_word_closure(ball: BallIndex, walk: Word) -> Word:
-    """Close a walk from the identity back to it along a geodesic."""
-    e = ball.group.evaluate(walk)
-    back = invert(ball.group.alphabet, ball.word_to(e))
-    return tuple(walk) + back

@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or a..b..step range")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--threshold", default="auto")
-    p.add_argument("--csv", action="store_true")  # CSV is the only format
     p.set_defaults(func=cmd_dehn_scan)
 
     p = sub.add_parser("check-confluence",

@@ -57,6 +57,36 @@ def heisenberg_ball(radius: int) -> dict[tuple[int, int, int], int]:
     return dist
 
 
+def heisenberg_ac_constants(n_max: int) -> list[tuple[int, int]]:
+    """(C_n, pair count) for n = 1..n_max: for each unordered pair of norm-n
+    triples at word distance <= 2, a plain BFS over triples of norm <= n
+    gives the shortest joining path; C_n is the longest of those."""
+    norm = heisenberg_ball(n_max)
+    out = []
+    for n in range(1, n_max + 1):
+        sphere = sorted(e for e, d in norm.items() if d == n)
+        c_n = pairs = 0
+        for u in sphere:
+            near = {heisenberg_mul(heisenberg_mul(u, g), h)
+                    for g in HEIS_GENS for h in HEIS_GENS + [(0, 0, 0)]}
+            targets = {v for v in near if v > u and norm.get(v) == n}
+            pairs += len(targets)
+            dist = {u: 0}
+            frontier = [u]
+            while frontier and not targets <= dist.keys():
+                nxt = []
+                for e in frontier:
+                    for g in HEIS_GENS:
+                        f = heisenberg_mul(e, g)
+                        if f not in dist and norm.get(f, n + 1) <= n:
+                            dist[f] = dist[e] + 1
+                            nxt.append(f)
+                frontier = nxt
+            c_n = max([c_n] + [dist[v] for v in targets])
+        out.append((c_n, pairs))
+    return out
+
+
 def grid_graph_points(radius: int):
     """All realization points of the Z^2 standard grid within the radius:
     lattice points and edge midpoints, as exact coordinate pairs."""

@@ -9,6 +9,8 @@ from cayleylab.convexity import (INFINITE, ac_constant, inside_ball_path,
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
 
+from oracles import heisenberg_ac_constants
+
 
 @pytest.fixture(scope="module")
 def z2ball():
@@ -25,6 +27,30 @@ def test_f2_constant_is_two(f2ball):
         rep = ac_constant(f2ball, n)
         assert rep.c_n == 2
         assert rep.pairs_examined > 0
+
+
+def test_heisenberg_constants_match_oracle():
+    ball = build_ball(get_group("heisenberg"), 8)
+    got = [(rep.c_n, rep.pairs_examined)
+           for rep in (ac_constant(ball, n) for n in range(1, 8))]
+    assert got == heisenberg_ac_constants(7)
+    assert got == [(2, 6), (2, 12), (6, 68), (6, 164), (10, 364), (10, 676),
+                   (10, 1120)]
+
+
+def test_sphere_pairs_computed_once(z2ball, monkeypatch):
+    calls = []
+    original = z2ball.sphere_pairs
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(z2ball, "sphere_pairs", counting)
+    for threads in (1, 4):
+        calls.clear()
+        ac_constant(z2ball, 5, threads=threads)
+        assert calls == [5]
 
 
 def test_z2_std_constants_small(z2ball):
