@@ -19,6 +19,7 @@ edge midpoints ("half-edge points"), and the distance from a midpoint of
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,54 +76,50 @@ class BallIndex:
         self.radius = radius
         self.max_vertices = max_vertices
 
+        # Vertices are expanded in id order, which is BFS order; each
+        # expanded vertex's adjacency row comes from the same apply calls
+        # that discover its neighbours.
         elements: list[Element] = [group.identity()]
         index: dict[Element, int] = {elements[0]: 0}
         dist: list[int] = [0]
         parent_gen: list[int] = [-1]
-        alphabet = group.alphabet
-        frontier = [0]
-        for layer in range(radius):
-            nxt: list[int] = []
-            for vid in frontier:
-                e = elements[vid]
-                for gen in range(len(alphabet)):
-                    f = group.apply(e, gen)
-                    if f not in index:
-                        if len(elements) >= max_vertices:
-                            raise ResourceError(
-                                f"ball exceeds max_vertices cap ({max_vertices})"
-                            )
-                        index[f] = len(elements)
-                        elements.append(f)
-                        dist.append(layer + 1)
-                        parent_gen.append(gen)
-                        nxt.append(index[f])
-            frontier = nxt
+        adj: list[list[int]] = []
+        apply = group.apply
+        gens = range(len(group.alphabet))
+        vid = 0
+        while vid < len(elements) and dist[vid] < radius:
+            e = elements[vid]
+            row = []
+            for gen in gens:
+                f = apply(e, gen)
+                nid = index.get(f)
+                if nid is None:
+                    if len(elements) >= max_vertices:
+                        raise ResourceError(
+                            f"ball exceeds max_vertices cap ({max_vertices})"
+                        )
+                    nid = len(elements)
+                    index[f] = nid
+                    elements.append(f)
+                    dist.append(dist[vid] + 1)
+                    parent_gen.append(gen)
+                row.append(nid)
+            adj.append(row)
+            vid += 1
+        # the outer shell is never expanded; its rows keep only in-ball edges
+        for e in elements[vid:]:
+            adj.append([index.get(apply(e, gen), -1) for gen in gens])
 
         self.elements = elements
         self.index = index
         self.dist = dist
         self.parent_gen = parent_gen
+        self.adj = adj
         self.identity_id = 0
 
-        n_gens = len(alphabet)
-        adj: list[list[int]] = []
-        for vid, e in enumerate(elements):
-            row = []
-            for gen in range(n_gens):
-                row.append(index.get(group.apply(e, gen), -1))
-            adj.append(row)
-        self.adj = adj
-
-        self.shell_start = [0] * (radius + 2)
-        for d in range(1, radius + 2):
-            self.shell_start[d] = len(elements)
-        for vid, d in enumerate(dist):
-            if self.shell_start[d] > vid:
-                self.shell_start[d] = vid
-        # make boundaries monotone for empty shells
-        for d in range(radius, -1, -1):
-            self.shell_start[d] = min(self.shell_start[d], self.shell_start[d + 1])
+        # dist is nondecreasing in the vertex id, so shell d starts at the
+        # first id of norm >= d; an empty shell starts where the next one does
+        self.shell_start = [bisect_left(dist, d) for d in range(radius + 2)]
 
         self._edges: list[tuple[int, int]] | None = None
         self._bfs_cache: dict[int, list[int]] = {}

@@ -14,7 +14,14 @@ class InputError(CayleyLabError):
 
 
 class ResourceError(CayleyLabError):
+    """A resource cap was hit; `needed_radius` is the ball radius that
+    avoids it, when the raiser knows one."""
+
     exit_code = 2
+
+    def __init__(self, message: str = "", needed_radius: int | None = None):
+        super().__init__(message)
+        self.needed_radius = needed_radius
 
 
 class InternalError(CayleyLabError):

@@ -8,6 +8,7 @@ iff the group elements are equal.
 """
 from __future__ import annotations
 
+import operator
 import os
 
 from .errors import InputError
@@ -68,20 +69,19 @@ class ZnGroup(Group):
         self._vectors: list[tuple[int, ...]] = []
         for _, v in gens:
             self._vectors.append(tuple(v))
-            self._vectors.append(tuple(-x for x in v))
+            self._vectors.append(self.inverse(v))
 
     def identity(self) -> Element:
         return (0,) * self.dim
 
     def apply(self, e: Element, gen_id: int) -> Element:
-        v = self._vectors[gen_id]
-        return tuple(a + b for a, b in zip(e, v))
+        return tuple(map(operator.add, e, self._vectors[gen_id]))
 
     def multiply(self, a: Element, b: Element) -> Element:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inverse(self, e: Element) -> Element:
-        return tuple(-x for x in e)
+        return tuple(map(operator.neg, e))
 
     def format_element(self, e: Element) -> str:
         return "(" + ",".join(str(x) for x in e) + ")"

@@ -246,7 +246,8 @@ def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
         needed = fill_ball_radius(group, w, threshold)
         if ball.radius < needed:
             raise ResourceError(
-                f"ball radius {ball.radius} too small for fill; need {needed}")
+                f"ball radius {ball.radius} too small for fill; need {needed}",
+                needed_radius=needed)
         try:
             root, depth, leaves, max_len = _fill_once(ball, root_loop,
                                                       threshold, 0)
@@ -321,7 +322,7 @@ def canonical_identity_word(group: Group, n: int) -> Word | None:
     return (a,) * j + (b,) * j + (ai,) * j + (bi,) * j
 
 
-def _scan_tasks(group: Group, lengths: list[int], samples: int, seed: int):
+def _scan_tasks(group: Group, lengths: list[int], samples: int):
     tasks = []
     for n in lengths:
         for s in range(samples):
@@ -341,23 +342,23 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     exponent is the least-squares slope of log(max cells) against log(n),
     absent with fewer than two distinct lengths.  Results are merged by
     (length, sample index) and do not depend on the thread count.
+
+    Each length n starts from one shared ball of radius n // 2 + n + t0.
+    When a fill reports the radius it needs (an adaptive threshold grew),
+    that word's fill reruns on a ball of exactly that radius; any other
+    resource error doubles the radius, bounded by the ball's vertex cap.
     """
     if policy is None:
         policy = adaptive()
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
         raise InputError("scan lengths must be at least 4")
-    balls: dict[int, BallIndex] = {}
-
-    def ball_for(n: int, threshold: int) -> BallIndex:
-        radius = n // 2 + n + threshold
-        if n not in balls or balls[n].radius < radius:
-            balls[n] = build_ball(group, radius)
-        return balls[n]
+    # built serially before any threading
+    balls = {n: build_ball(group, n // 2 + n + policy.t0) for n in lengths}
 
     def run_task(task):
         n, s, kind = task
-        b = ball_for(n, policy.t0)
+        b = balls[n]
         if kind == "commutator":
             w = canonical_identity_word(group, n)
         else:
@@ -366,12 +367,10 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
             try:
                 tree = fill(b, w, policy)
                 return (n, s, tree.leaf_count, tree.threshold)
-            except ResourceError:
-                b = build_ball(group, 2 * b.radius)
+            except ResourceError as exc:
+                b = build_ball(group, exc.needed_radius or 2 * b.radius)
 
-    tasks = _scan_tasks(group, lengths, samples_per_length, seed)
-    for n in lengths:
-        ball_for(n, policy.t0)  # build serially before any threading
+    tasks = _scan_tasks(group, lengths, samples_per_length)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_task, tasks))

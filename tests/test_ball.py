@@ -5,8 +5,10 @@ import pytest
 
 from cayleylab.ball import Point, build_ball
 from cayleylab.errors import InputError
-from cayleylab.groups import get_group
+from cayleylab.groups import RewritingGroup, get_group
+from cayleylab.rewriting import parse_group_file
 from oracles import (free_distance, heisenberg_ball, z2_abc_norm, z2_std_norm)
+from test_rewriting import Z2_RULES_TEXT
 
 HALF = Fraction(1, 2)
 
@@ -50,6 +52,26 @@ def test_bfs_layer_equals_geodesic_word_length(name):
         w = ball.word_to(e)
         assert len(w) == ball.dist[vid]
         assert group.evaluate(w) == e
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("z2-std", 9), ("z2-abc", 6), ("f2", 5), ("heisenberg", 6), ("z2-rules", 6),
+])
+def test_adjacency_and_bfs_tree_match_group(name, radius):
+    """Every row, outer shell included, is the in-ball image under apply,
+    and each parent edge steps exactly one layer down."""
+    if name == "z2-rules":
+        group = RewritingGroup(name, parse_group_file(Z2_RULES_TEXT)[1])
+    else:
+        group = get_group(name)
+    ball = build_ball(group, radius)
+    assert ball.shell(radius).stop == len(ball)
+    for v, e in enumerate(ball.elements):
+        assert ball.adj[v] == [ball.index.get(group.apply(e, g), -1)
+                               for g in range(len(group.alphabet))]
+        if v:
+            parent = ball.adj[v][group.alphabet.inverse(ball.parent_gen[v])]
+            assert ball.dist[v] == ball.dist[parent] + 1
 
 
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])

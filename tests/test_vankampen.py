@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from cayleylab import vankampen
 from cayleylab.ball import build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
@@ -129,7 +131,6 @@ def test_fill_adaptive_policy_always_terminates(z2, z2ball):
 
 
 def test_default_threshold():
-    from fractions import Fraction
     assert default_threshold(0) == 4
     assert default_threshold(Fraction(1)) == 5
     assert default_threshold(Fraction(3, 2)) == 7
@@ -213,6 +214,23 @@ def test_dehn_scan_thread_invariance():
     four = dehn_scan(get_group("z2-std"), [8, 12], threads=4, **kw)
     assert one.records == four.records
     assert one.slope == four.slope
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
+    # the commutator words need threshold 8, so radius n + n // 2 + 8
+    radii = []
+
+    def recording_build(group, radius, *args):
+        radii.append(radius)
+        return build_ball(group, radius, *args)
+
+    monkeypatch.setattr(vankampen, "build_ball", recording_build)
+    scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0,
+                     threads=threads)
+    assert sorted(radii) == [28, 32, 40, 44]
+    assert scan.records == [(16, 5, 9, Fraction(5)),
+                            (24, 5, 19, Fraction(31, 5))]
 
 
 def test_fill_ball_radius_formula(z2):
