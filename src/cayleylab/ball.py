@@ -10,7 +10,9 @@ word norm of u^-1 v, a single table lookup.  This is the exact word
 metric whenever u^-1 v lies in the ball; when it does not, we fall back
 to a cached breadth-first search inside the ball, which can only
 overestimate.  Callers that need exactness keep their query points within
-the documented radius margins.
+the documented radius margins.  Lookups are not cached here beyond the
+inverses and BFS rows: the median search in ldelta caches repeated
+distances in its per-chunk distance rows.
 
 Distances may take half-integer values: the geometric realization admits
 edge midpoints ("half-edge points"), and the distance from a midpoint of

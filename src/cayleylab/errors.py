@@ -15,13 +15,16 @@ class InputError(CayleyLabError):
 
 class ResourceError(CayleyLabError):
     """A resource cap was hit; `needed_radius` is the ball radius that
-    avoids it, when the raiser knows one."""
+    avoids it, when the raiser knows one, and `threshold` the fill
+    threshold reached when it was raised."""
 
     exit_code = 2
 
-    def __init__(self, message: str = "", needed_radius: int | None = None):
+    def __init__(self, message: str = "", needed_radius: int | None = None,
+                 threshold: int | None = None):
         super().__init__(message)
         self.needed_radius = needed_radius
+        self.threshold = threshold
 
 
 class InternalError(CayleyLabError):

@@ -18,6 +18,16 @@ incumbent's, so the scan stops once the shell distance passes both
 bounds.  Ties are broken by smaller d(t, x), then smaller d(t, y), then
 vertices before midpoints, then smallest vertex id, which makes the
 result independent of scan order.
+
+The search reads every distance from a DistanceRows cache: row u maps a
+vertex id v to twice ball.vertex_distance(u, v), computed on first use,
+so repeated lookups are plain subscripts on doubled integers.  A
+midpoint's row is read from its ends' rows, and one seed geodesic per
+point pair is kept as well.  estimate_delta makes one cache per chunk of
+triples, private to the worker running that chunk (no lock), holding
+only the distances the chunk asked for; median() makes a fresh cache per
+call, so a search over a large ball computes each distance at most once
+and never a full row.
 """
 from __future__ import annotations
 
@@ -52,22 +62,102 @@ class DeltaEstimate:
     triples_examined: int
 
 
-def _pd2(ball: BallIndex, p: Point, tid: int) -> int | None:
-    """Twice the distance from a point to a vertex id, None if
-    undeterminable.  The search runs on doubled integer distances to stay
-    off Fraction arithmetic."""
-    if p.kind == VERTEX:
-        d = ball.vertex_distance(p.a, tid)
-        return None if d is None else 2 * d
-    da = ball.vertex_distance(p.a, tid)
-    db = ball.vertex_distance(p.b, tid)
-    if da is None:
-        if db is None:
-            return None
-        da = db
-    elif db is not None and db < da:
-        da = db
-    return 2 * da + 1
+class _Row(dict):
+    """Twice the distance from vertex u to each vertex id, None if
+    undeterminable, computed by ball.vertex_distance on first use."""
+
+    __slots__ = ("ball", "u")
+
+    def __init__(self, ball: BallIndex, u: int):
+        super().__init__()
+        self.ball, self.u = ball, u
+
+    def __missing__(self, v: int) -> int | None:
+        d = self.ball.vertex_distance(self.u, v)
+        d2 = self[v] = None if d is None else 2 * d
+        return d2
+
+
+def _half_step(du: int | None, dv: int | None) -> int | None:
+    """Doubled distance to the midpoint of an edge from the doubled
+    distances to its ends: one more than the smaller known one."""
+    if du is None:
+        return None if dv is None else dv + 1
+    if dv is not None and dv < du:
+        du = dv
+    return du + 1
+
+
+class _MidRow(dict):
+    """Twice the distance from the midpoint of edge (a, b) to each vertex
+    id, read from the rows of a and b on first use."""
+
+    __slots__ = ("ra", "rb")
+
+    def __init__(self, ra: _Row, rb: _Row):
+        super().__init__()
+        self.ra, self.rb = ra, rb
+
+    def __missing__(self, tid: int) -> int | None:
+        d2 = self[tid] = _half_step(self.ra[tid], self.rb[tid])
+        return d2
+
+
+class DistanceRows(dict):
+    """rows[u][v] == 2 * ball.vertex_distance(u, v), computed on first use.
+
+    Midpoints get rows of the same kind, read from their ends' rows, and
+    the vertex walk of one seed geodesic per point pair is kept too.
+    """
+
+    def __init__(self, ball: BallIndex):
+        super().__init__()
+        self.ball = ball
+        self.mid_rows: dict[tuple[int, int], _MidRow] = {}
+        self.walks: dict[tuple[Point, Point], tuple[int, ...] | None] = {}
+
+    def __missing__(self, u: int) -> _Row:
+        row = self[u] = _Row(self.ball, u)
+        return row
+
+    def point_row(self, p: Point) -> _Row | _MidRow:
+        if p.kind == VERTEX:
+            return self[p.a]
+        key = (p.a, p.b)
+        row = self.mid_rows.get(key)
+        if row is None:
+            row = self.mid_rows[key] = _MidRow(self[p.a], self[p.b])
+        return row
+
+    def walk(self, p: Point, q: Point) -> tuple[int, ...] | None:
+        """Vertex ids along ball.geodesic(p, q), cut where it leaves the
+        ball; None when the geodesic is not determinable."""
+        key = (p, q)
+        if key not in self.walks:
+            try:
+                path = self.ball.geodesic(p, q)
+            except ResourceError:
+                self.walks[key] = None
+                return None
+            adj = self.ball.adj
+            ids = [path.start_vertex]
+            for gen in path.word:
+                nxt = adj[ids[-1]][gen]
+                if nxt < 0:
+                    break
+                ids.append(nxt)
+            self.walks[key] = tuple(ids)
+        return self.walks[key]
+
+
+def _d2(p: Point, p_row, q: Point, q_row) -> int | None:
+    """Twice ball.try_distance(p, q) for distinct points, read like it
+    from the vertex's side when one point is a vertex."""
+    if p.kind == HALF and q.kind == VERTEX:
+        p, p_row, q = q, q_row, p
+    if q.kind == VERTEX:
+        return p_row[q.a]
+    return _half_step(p_row[q.a], p_row[q.b])
 
 
 def slack(ball: BallIndex, t: Point, x: Point, y: Point, z: Point) -> Fraction:
@@ -86,24 +176,27 @@ def pair_slacks(ball: BallIndex, t: Point, x: Point, y: Point,
 class _MedianSearch:
     """Shell scan state; all distances are doubled integers internally."""
 
-    def __init__(self, ball: BallIndex, x: Point, y: Point, z: Point,
-                 t_halves: bool):
+    def __init__(self, ball: BallIndex, rows: DistanceRows, x: Point,
+                 y: Point, z: Point, t_halves: bool):
         self.ball = ball
+        self.rows = rows
         self.x, self.y, self.z = x, y, z
         self.t_halves = t_halves
-        dxy = ball.try_distance(x, y)
-        dyz = ball.try_distance(y, z)
-        dzx = ball.try_distance(z, x)
-        if None in (dxy, dyz, dzx):
+        xr, yr, zr = rows.point_row(x), rows.point_row(y), rows.point_row(z)
+        self.xr, self.yr, self.zr = xr, yr, zr
+        self.with_rows = ((x, xr), (y, yr), (z, zr))
+        self.dxy2 = _d2(x, xr, y, yr)
+        self.dyz2 = _d2(y, yr, z, zr)
+        self.dzx2 = _d2(z, zr, x, xr)
+        if None in (self.dxy2, self.dyz2, self.dzx2):
             raise ResourceError("triple distances not determinable in this ball")
-        self.dxy2, self.dyz2, self.dzx2 = int(2 * dxy), int(2 * dyz), int(2 * dzx)
         self.best_key: tuple | None = None
         self.seen_mids: set[tuple[int, int]] = set()
 
     def consider_vertex(self, tid: int) -> None:
-        dx = _pd2(self.ball, self.x, tid)
-        dy = _pd2(self.ball, self.y, tid)
-        dz = _pd2(self.ball, self.z, tid)
+        dx = self.xr[tid]
+        dy = self.yr[tid]
+        dz = self.zr[tid]
         if dx is None or dy is None or dz is None:
             return
         self._offer(VERTEX, tid, -1, dx, dy, dz)
@@ -114,19 +207,14 @@ class _MedianSearch:
             return
         self.seen_mids.add(key)
         ds = []
-        for p in (self.x, self.y, self.z):
+        for p, row in self.with_rows:
             if p.kind == HALF and key == (p.a, p.b):
                 ds.append(0)
                 continue
-            du = _pd2(self.ball, p, u)
-            dv = _pd2(self.ball, p, v)
-            if du is None:
-                if dv is None:
-                    return
-                du = dv
-            elif dv is not None and dv < du:
-                du = dv
-            ds.append(du + 1)
+            d = _half_step(row[u], row[v])
+            if d is None:
+                return
+            ds.append(d)
         self._offer(HALF, key[0], key[1], *ds)
 
     def _offer(self, kind: int, a: int, b: int,
@@ -159,16 +247,12 @@ class _MedianSearch:
             if self._aborted(cap2):
                 return True
         for a, b in ((self.x, self.y), (self.y, self.z), (self.z, self.x)):
-            try:
-                path = self.ball.geodesic(a, b)
-            except ResourceError:
+            walk = self.rows.walk(a, b)
+            if walk is None:
                 continue
-            cur = path.start_vertex
+            cur = walk[0]
             self.consider_vertex(cur)
-            for gen in path.word:
-                nxt = self.ball.adj[cur][gen]
-                if nxt < 0:
-                    break
+            for nxt in walk[1:]:
                 if self.t_halves:
                     self.consider_mid(cur, nxt)
                 self.consider_vertex(nxt)
@@ -190,9 +274,9 @@ class _MedianSearch:
                  half * (dz + dx - self.dzx2))
         return MedianResult(Point(kind, a, b), half * s, pairs)
 
-    def run(self, cap: Fraction | None, prune: bool) -> MedianResult | None:
+    def run(self, cap2: int | None, prune: bool) -> MedianResult | None:
+        """The search with the cap in doubled units."""
         ball = self.ball
-        cap2 = None if cap is None else int(2 * cap)
         if self.seed(cap2):
             return None
         anchor = self.x.a
@@ -226,14 +310,23 @@ class _MedianSearch:
 
 def median(ball: BallIndex, x: Point, y: Point, z: Point,
            cap: Fraction | None = None, t_halves: bool = True,
-           prune: bool = True) -> MedianResult | None:
+           prune: bool = True, *,
+           rows: DistanceRows | None = None) -> MedianResult | None:
     """The minimum-slack point t for the triple, or None if every slack at
-    or below `cap` (when given) was ruled out early."""
-    for p in (x, y, z):
-        ball.check_point(p)
-    if len({x, y, z}) != 3:
-        raise InputError("median needs three distinct points")
-    return _MedianSearch(ball, x, y, z, t_halves).run(cap, prune)
+    or below `cap` (when given) was ruled out early.
+
+    A call checks its points and searches with a fresh DistanceRows,
+    unless `rows` passes in one cache shared by a batch of searches over
+    points the caller has already checked to be distinct and in the ball.
+    """
+    if rows is None:
+        for p in (x, y, z):
+            ball.check_point(p)
+        if len({x, y, z}) != 3:
+            raise InputError("median needs three distinct points")
+        rows = DistanceRows(ball)
+    cap2 = None if cap is None else int(2 * cap)
+    return _MedianSearch(ball, rows, x, y, z, t_halves).run(cap2, prune)
 
 
 def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
@@ -263,11 +356,14 @@ _CHUNK = 4096
 
 
 def _process_chunk(ball, points, triples, start_index, cap, t_halves):
+    # the domain points are distinct and in the ball, so the triples skip
+    # median()'s checks and share one cache, private to this chunk
+    rows = DistanceRows(ball)
     records = []
     local_cap = cap
     for offset, (i, j, k) in enumerate(triples):
-        med = median(ball, points[i], points[j], points[k],
-                     cap=local_cap, t_halves=t_halves)
+        med = median(ball, points[i], points[j], points[k], cap=local_cap,
+                     t_halves=t_halves, rows=rows)
         if med is not None and med.slack > local_cap:
             records.append((start_index + offset, (i, j, k), med))
             local_cap = med.slack
@@ -304,8 +400,8 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
         if n < 3:
             raise InputError("domain has fewer than three points")
         rng = random.Random(seed)
-        triple_iter = iter([tuple(rng.sample(range(n), 3))
-                            for _ in range(samples)])
+        triple_iter = (tuple(rng.sample(range(n), 3))
+                       for _ in range(samples))
         total = samples
     else:
         raise InputError(f"unknown sampling mode {sampling!r}")

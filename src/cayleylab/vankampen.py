@@ -247,7 +247,7 @@ def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
         if ball.radius < needed:
             raise ResourceError(
                 f"ball radius {ball.radius} too small for fill; need {needed}",
-                needed_radius=needed)
+                needed_radius=needed, threshold=threshold)
         try:
             root, depth, leaves, max_len = _fill_once(ball, root_loop,
                                                       threshold, 0)
@@ -343,34 +343,55 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     absent with fewer than two distinct lengths.  Results are merged by
     (length, sample index) and do not depend on the thread count.
 
-    Each length n starts from one shared ball of radius n // 2 + n + t0.
+    Each length n starts from one shared ball of radius n // 2 + n + t0;
+    when the group draws its words without a ball, the words come first
+    and the ball has the largest radius `fill_ball_radius` asks of them.
     When a fill reports the radius it needs (an adaptive threshold grew),
-    that word's fill reruns on a ball of exactly that radius; any other
-    resource error doubles the radius, bounded by the ball's vertex cap.
+    that word's fill reruns on a ball of exactly that radius, resuming at
+    the threshold it had reached; any other resource error doubles the
+    radius, bounded by the ball's vertex cap.
     """
     if policy is None:
         policy = adaptive()
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
         raise InputError("scan lengths must be at least 4")
+    tasks = _scan_tasks(group, lengths, samples_per_length)
+
+    def draw_word(task, ball):
+        n, s, kind = task
+        if kind == "commutator":
+            return canonical_identity_word(group, n)
+        return random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
+
     # built serially before any threading
-    balls = {n: build_ball(group, n // 2 + n + policy.t0) for n in lengths}
+    words = {}
+    if group.geodesic_word(group.identity()) is not None:
+        # the words need no ball, so each length's ball fits its words
+        radii: dict[int, int] = {}
+        for task in tasks:
+            w = words[task] = draw_word(task, None)
+            r = fill_ball_radius(group, free_reduce(group.alphabet, w),
+                                 policy.t0)
+            radii[task[0]] = max(radii.get(task[0], 0), r)
+    else:
+        radii = {n: n // 2 + n + policy.t0 for n in lengths}
+    balls = {n: build_ball(group, r) for n, r in radii.items()}
 
     def run_task(task):
-        n, s, kind = task
+        n, s, _ = task
         b = balls[n]
-        if kind == "commutator":
-            w = canonical_identity_word(group, n)
-        else:
-            w = random_identity_word(group, n, f"{seed}:{n}:{s}", ball=b)
+        w = words[task] if task in words else draw_word(task, b)
+        task_policy = policy
         while True:
             try:
-                tree = fill(b, w, policy)
+                tree = fill(b, w, task_policy)
                 return (n, s, tree.leaf_count, tree.threshold)
             except ResourceError as exc:
                 b = build_ball(group, exc.needed_radius or 2 * b.radius)
+                if exc.threshold is not None:
+                    task_policy = ThresholdPolicy(policy.kind, exc.threshold)
 
-    tasks = _scan_tasks(group, lengths, samples_per_length)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_task, tasks))

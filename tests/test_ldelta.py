@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cayleylab.ball import HALF, Point, build_ball
+from cayleylab.ball import HALF, BallIndex, Point, build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
-from cayleylab.ldelta import (domain_points, estimate_delta, median,
-                              pair_slacks, recommended_ball_radius, slack)
+from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
+                              median, pair_slacks, recommended_ball_radius,
+                              slack)
 from oracles import grid_min_slack
 
 F = Fraction
@@ -145,6 +146,38 @@ def test_median_pruning_soundness(name, radius):
         slow = median(ball, x, y, z, prune=False)
         assert fast.slack == slow.slack
         assert fast.t == slow.t
+
+
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
+def test_shared_chunk_cache_matches_fresh_median(name):
+    # one cache serves a whole chunk of triples in estimate_delta; every
+    # result must equal a search with a cache of its own
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "half")
+    rows = DistanceRows(ball)
+    rng = random.Random(11)
+    for _ in range(2000):
+        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+        for cap in (None, F(1)):
+            assert median(ball, x, y, z, cap=cap, rows=rows) == \
+                median(ball, x, y, z, cap=cap)
+
+
+def test_delta_search_reads_each_distance_once(monkeypatch):
+    calls = [0]
+    vertex_distance = BallIndex.vertex_distance
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return vertex_distance(self, u, v)
+
+    monkeypatch.setattr(BallIndex, "vertex_distance", counted)
+    ball = build_ball(get_group("z2-abc"), 8)
+    est = estimate_delta(ball, 3, domain="vertices", sampling="exhaustive")
+    assert est.value == 2
+    # a group product per lookup made 153,720 calls on this domain
+    assert calls[0] <= 153_720 // 10
 
 
 # -- estimate_delta ---------------------------------------------------------

@@ -233,6 +233,37 @@ def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
                             (24, 5, 19, Fraction(31, 5))]
 
 
+def test_dehn_scan_resumes_at_grown_threshold(monkeypatch):
+    calls = [0]
+    split = vankampen.split_loop
+
+    def counted(ball, loop):
+        calls[0] += 1
+        return split(ball, loop)
+
+    monkeypatch.setattr(vankampen, "split_loop", counted)
+    scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0)
+    assert scan.records == [(16, 5, 9, Fraction(5)),
+                            (24, 5, 19, Fraction(31, 5))]
+    # restarting each rebuilt fill at t0 = 4 made 73 calls
+    assert calls[0] < 73
+
+
+def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
+    # every f2 identity word freely reduces to the empty word, so a
+    # radius-t0 ball fills it; n // 2 + n + t0 = 16 exceeds the vertex cap
+    radii = []
+
+    def recording_build(group, radius, *args):
+        radii.append(radius)
+        return build_ball(group, radius, *args)
+
+    monkeypatch.setattr(vankampen, "build_ball", recording_build)
+    scan = dehn_scan(get_group("f2"), [8, 12], 2, adaptive(4), seed=0)
+    assert radii == [4, 4]
+    assert scan.records == [(8, 2, 1, Fraction(1)), (12, 2, 1, Fraction(1))]
+
+
 def test_fill_ball_radius_formula(z2):
     w = commutator(z2, 4)  # norms along the loop reach 8
     assert fill_ball_radius(z2, w, 4) == len(w) // 2 + len(w) + 4
