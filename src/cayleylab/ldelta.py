@@ -25,9 +25,10 @@ so repeated lookups are plain subscripts on doubled integers.  A
 midpoint's row is read from its ends' rows, and one seed geodesic per
 point pair is kept as well.  estimate_delta makes one cache per chunk of
 triples, private to the worker running that chunk (no lock), holding
-only the distances the chunk asked for; median() makes a fresh cache per
-call, so a search over a large ball computes each distance at most once
-and never a full row.
+only the distances the chunk asked for; once it holds more than
+_CACHE_ENTRIES of them (about 45 bytes each) the chunk goes on with a
+fresh one.  median() makes a fresh cache per call, so a search over a
+large ball computes each distance at most once and never a full row.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .errors import InputError, ResourceError
 
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 7
 DEFAULT_FORCED_SAMPLES = 100_000
+_CACHE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,16 @@ class _Row(dict):
     """Twice the distance from vertex u to each vertex id, None if
     undeterminable, computed by ball.vertex_distance on first use."""
 
-    __slots__ = ("ball", "u")
+    __slots__ = ("ball", "u", "held")
 
-    def __init__(self, ball: BallIndex, u: int):
+    def __init__(self, ball: BallIndex, u: int, held: list[int]):
         super().__init__()
-        self.ball, self.u = ball, u
+        self.ball, self.u, self.held = ball, u, held
 
     def __missing__(self, v: int) -> int | None:
         d = self.ball.vertex_distance(self.u, v)
         d2 = self[v] = None if d is None else 2 * d
+        self.held[0] += 1
         return d2
 
 
@@ -100,6 +103,7 @@ class _MidRow(dict):
 
     def __missing__(self, tid: int) -> int | None:
         d2 = self[tid] = _half_step(self.ra[tid], self.rb[tid])
+        self.ra.held[0] += 1
         return d2
 
 
@@ -108,16 +112,19 @@ class DistanceRows(dict):
 
     Midpoints get rows of the same kind, read from their ends' rows, and
     the vertex walk of one seed geodesic per point pair is kept too.
+    `held[0]` counts the distances and walks held; the rows share that
+    cell rather than point back here, so a dropped cache is freed at once.
     """
 
     def __init__(self, ball: BallIndex):
         super().__init__()
         self.ball = ball
+        self.held = [0]
         self.mid_rows: dict[tuple[int, int], _MidRow] = {}
         self.walks: dict[tuple[Point, Point], tuple[int, ...] | None] = {}
 
     def __missing__(self, u: int) -> _Row:
-        row = self[u] = _Row(self.ball, u)
+        row = self[u] = _Row(self.ball, u, self.held)
         return row
 
     def point_row(self, p: Point) -> _Row | _MidRow:
@@ -134,6 +141,7 @@ class DistanceRows(dict):
         ball; None when the geodesic is not determinable."""
         key = (p, q)
         if key not in self.walks:
+            self.held[0] += 1
             try:
                 path = self.ball.geodesic(p, q)
             except ResourceError:
@@ -311,22 +319,23 @@ class _MedianSearch:
 def median(ball: BallIndex, x: Point, y: Point, z: Point,
            cap: Fraction | None = None, t_halves: bool = True,
            prune: bool = True, *,
-           rows: DistanceRows | None = None) -> MedianResult | None:
+           _rows: DistanceRows | None = None) -> MedianResult | None:
     """The minimum-slack point t for the triple, or None if every slack at
     or below `cap` (when given) was ruled out early.
 
-    A call checks its points and searches with a fresh DistanceRows,
-    unless `rows` passes in one cache shared by a batch of searches over
-    points the caller has already checked to be distinct and in the ball.
+    A call checks its points and searches with a fresh DistanceRows.
+    `_rows` is estimate_delta's batch path only: it shares one cache over
+    a chunk of triples and skips the checks, because that domain was
+    built distinct and in the ball.
     """
-    if rows is None:
+    if _rows is None:
         for p in (x, y, z):
             ball.check_point(p)
         if len({x, y, z}) != 3:
             raise InputError("median needs three distinct points")
-        rows = DistanceRows(ball)
+        _rows = DistanceRows(ball)
     cap2 = None if cap is None else int(2 * cap)
-    return _MedianSearch(ball, rows, x, y, z, t_halves).run(cap2, prune)
+    return _MedianSearch(ball, _rows, x, y, z, t_halves).run(cap2, prune)
 
 
 def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
@@ -362,8 +371,10 @@ def _process_chunk(ball, points, triples, start_index, cap, t_halves):
     records = []
     local_cap = cap
     for offset, (i, j, k) in enumerate(triples):
+        if rows.held[0] > _CACHE_ENTRIES:
+            rows = DistanceRows(ball)
         med = median(ball, points[i], points[j], points[k], cap=local_cap,
-                     t_halves=t_halves, rows=rows)
+                     t_halves=t_halves, _rows=rows)
         if med is not None and med.slack > local_cap:
             records.append((start_index + offset, (i, j, k), med))
             local_cap = med.slack

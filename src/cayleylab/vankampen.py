@@ -364,24 +364,25 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
             return canonical_identity_word(group, n)
         return random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
 
-    # built serially before any threading
-    words = {}
+    # balls and words are made serially before any threading
     if group.geodesic_word(group.identity()) is not None:
         # the words need no ball, so each length's ball fits its words
+        words = {task: draw_word(task, None) for task in tasks}
         radii: dict[int, int] = {}
-        for task in tasks:
-            w = words[task] = draw_word(task, None)
+        for (n, _, _), w in words.items():
             r = fill_ball_radius(group, free_reduce(group.alphabet, w),
                                  policy.t0)
-            radii[task[0]] = max(radii.get(task[0], 0), r)
+            radii[n] = max(radii.get(n, 0), r)
+        balls = {n: build_ball(group, r) for n, r in radii.items()}
     else:
-        radii = {n: n // 2 + n + policy.t0 for n in lengths}
-    balls = {n: build_ball(group, r) for n, r in radii.items()}
+        balls = {n: build_ball(group, n // 2 + n + policy.t0)
+                 for n in lengths}
+        words = {task: draw_word(task, balls[task[0]]) for task in tasks}
 
     def run_task(task):
         n, s, _ = task
         b = balls[n]
-        w = words[task] if task in words else draw_word(task, b)
+        w = words[task]
         task_policy = policy
         while True:
             try:

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from cayleylab import ldelta
 from cayleylab.ball import HALF, BallIndex, Point, build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
@@ -160,8 +163,37 @@ def test_shared_chunk_cache_matches_fresh_median(name):
     for _ in range(2000):
         x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
         for cap in (None, F(1)):
-            assert median(ball, x, y, z, cap=cap, rows=rows) == \
+            assert median(ball, x, y, z, cap=cap, _rows=rows) == \
                 median(ball, x, y, z, cap=cap)
+    held = (sum(map(len, rows.values())) +
+            sum(map(len, rows.mid_rows.values())) + len(rows.walks))
+    assert rows.held[0] == held
+
+
+def test_chunk_cache_bound_keeps_results(monkeypatch):
+    # a chunk whose cache outgrows the bound goes on with a fresh one, and
+    # the dropped caches are freed without waiting for the cycle collector
+    ball = build_ball(get_group("z2-abc"), recommended_ball_radius(
+        get_group("z2-abc"), 4))
+    run = dict(radius=4, domain="half", sampling="sampled", samples=3000,
+               seed=5)
+    unbounded = estimate_delta(ball, **run)
+    made = []
+    init = DistanceRows.__init__
+
+    def counted(self, b):
+        made.append(weakref.ref(self))
+        init(self, b)
+
+    monkeypatch.setattr(DistanceRows, "__init__", counted)
+    monkeypatch.setattr(ldelta, "_CACHE_ENTRIES", 500)
+    gc.disable()
+    try:
+        assert estimate_delta(ball, **run) == unbounded
+        assert len(made) > 10
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_delta_search_reads_each_distance_once(monkeypatch):
