@@ -5,6 +5,12 @@ canonical elements in BFS discovery order (so norms are nondecreasing in
 the dense vertex id), per-vertex adjacency restricted to the ball, and
 the BFS tree used to read off geodesic words from the identity.
 
+Because the BFS expands vertices in id order, the ball of radius r is an
+id-prefix of every larger ball: elements, dist, parent_gen and the rows
+of vertices below norm r agree, and only the outer shell's rows differ,
+keeping just in-ball ids.  build_ball(..., source=b) uses this to derive
+a ball from another one, truncating it or resuming its BFS.
+
 Vertex-to-vertex distances use translation invariance: d(u, v) is the
 word norm of u^-1 v, a single table lookup.  This is the exact word
 metric whenever u^-1 v lies in the ball; when it does not, we fall back
@@ -70,25 +76,79 @@ class GeodesicPath:
     length: Fraction
 
 
+def _cap_error(max_vertices: int) -> ResourceError:
+    return ResourceError(f"ball exceeds max_vertices cap ({max_vertices})")
+
+
 class BallIndex:
-    def __init__(self, group: Group, radius: int, max_vertices: int = 2_000_000):
+    def __init__(self, group: Group, radius: int, max_vertices: int = 2_000_000,
+                 source: "BallIndex | None" = None):
         if radius < 0:
             raise InputError("ball radius must be >= 0")
         self.group = group
         self.radius = radius
         self.max_vertices = max_vertices
+        self.identity_id = 0
 
-        # Vertices are expanded in id order, which is BFS order; each
-        # expanded vertex's adjacency row comes from the same apply calls
-        # that discover its neighbours.
-        elements: list[Element] = [group.identity()]
-        index: dict[Element, int] = {elements[0]: 0}
-        dist: list[int] = [0]
-        parent_gen: list[int] = [-1]
-        adj: list[list[int]] = []
-        apply = group.apply
-        gens = range(len(group.alphabet))
-        vid = 0
+        if source is None:
+            self.elements: list[Element] = [group.identity()]
+            self.index: dict[Element, int] = {self.elements[0]: 0}
+            self.dist: list[int] = [0]
+            self.parent_gen: list[int] = [-1]
+            self.adj: list[list[int]] = []
+            self._expand(0)
+        else:
+            if source.group is not group:
+                raise InputError("source ball belongs to another group")
+            if radius <= source.radius:
+                # the ball of radius r is the id-prefix of norm <= r; the
+                # rows expanded at that radius are shared, the outer shell
+                # keeps only in-ball ids
+                k = source.shell_start[radius + 1]
+                if k > max_vertices:
+                    raise _cap_error(max_vertices)
+                expanded = source.shell_start[radius]
+                self.elements = source.elements[:k]
+                self.index = dict(zip(self.elements, range(k)))
+                self.dist = source.dist[:k]
+                self.parent_gen = source.parent_gen[:k]
+                self.adj = source.adj[:expanded] + [
+                    [v if v < k else -1 for v in row]
+                    for row in source.adj[expanded:k]]
+            else:
+                # resume the source's BFS at its unexpanded outer shell
+                if len(source.elements) > max_vertices:
+                    raise _cap_error(max_vertices)
+                expanded = source.shell_start[source.radius]
+                self.elements = list(source.elements)
+                self.index = dict(source.index)
+                self.dist = list(source.dist)
+                self.parent_gen = list(source.parent_gen)
+                self.adj = source.adj[:expanded]
+                self._expand(expanded)
+
+        # dist is nondecreasing in the vertex id, so shell d starts at the
+        # first id of norm >= d; an empty shell starts where the next one does
+        self.shell_start = [bisect_left(self.dist, d) for d in range(radius + 2)]
+
+        self._edges: list[tuple[int, int]] | None = None
+        self._bfs_cache: dict[int, list[int]] = {}
+        self._cache_lock = threading.Lock()
+        self._inverse_cache: dict[int, Element] = {}
+
+    def _expand(self, vid: int) -> None:
+        """Run the BFS from vertex id vid to the radius.
+
+        Vertices are expanded in id order, which is BFS order; each
+        expanded vertex's adjacency row comes from the same apply calls
+        that discover its neighbours.  Rows below vid must already be
+        expanded.
+        """
+        elements, index, dist = self.elements, self.index, self.dist
+        parent_gen, adj = self.parent_gen, self.adj
+        radius, max_vertices = self.radius, self.max_vertices
+        apply = self.group.apply
+        gens = range(len(self.group.alphabet))
         while vid < len(elements) and dist[vid] < radius:
             e = elements[vid]
             row = []
@@ -97,9 +157,7 @@ class BallIndex:
                 nid = index.get(f)
                 if nid is None:
                     if len(elements) >= max_vertices:
-                        raise ResourceError(
-                            f"ball exceeds max_vertices cap ({max_vertices})"
-                        )
+                        raise _cap_error(max_vertices)
                     nid = len(elements)
                     index[f] = nid
                     elements.append(f)
@@ -111,22 +169,6 @@ class BallIndex:
         # the outer shell is never expanded; its rows keep only in-ball edges
         for e in elements[vid:]:
             adj.append([index.get(apply(e, gen), -1) for gen in gens])
-
-        self.elements = elements
-        self.index = index
-        self.dist = dist
-        self.parent_gen = parent_gen
-        self.adj = adj
-        self.identity_id = 0
-
-        # dist is nondecreasing in the vertex id, so shell d starts at the
-        # first id of norm >= d; an empty shell starts where the next one does
-        self.shell_start = [bisect_left(dist, d) for d in range(radius + 2)]
-
-        self._edges: list[tuple[int, int]] | None = None
-        self._bfs_cache: dict[int, list[int]] = {}
-        self._cache_lock = threading.Lock()
-        self._inverse_cache: dict[int, Element] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -367,5 +409,15 @@ class BallIndex:
         return sorted(pairs)
 
 
-def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000) -> BallIndex:
-    return BallIndex(group, radius, max_vertices)
+def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000,
+               source: BallIndex | None = None) -> BallIndex:
+    """The ball of the given radius, equal in every field to a fresh BFS.
+
+    With `source`, a ball of the same group, the result is derived from
+    it: a smaller radius truncates it to an id-prefix without apply calls,
+    a larger one resumes its BFS at its outer shell.  Either way it equals
+    build_ball(group, radius, max_vertices), and the vertex cap fails as
+    a fresh build would.  Expanded adjacency rows are shared with the
+    source; no ball mutates its rows after it is built.
+    """
+    return BallIndex(group, radius, max_vertices, source)

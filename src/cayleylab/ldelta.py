@@ -23,7 +23,8 @@ The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
 midpoint's row is read from its ends' rows, and one seed geodesic per
-point pair is kept as well.  estimate_delta makes one cache per chunk of
+point pair is kept as well.  The shell scan fills a vertex x's row as it
+goes: the candidate t = x s for s on shell m lies at distance m from x.  estimate_delta makes one cache per chunk of
 triples, private to the worker running that chunk (no lock), holding
 only the distances the chunk asked for; once it holds more than
 _CACHE_ENTRIES of them (about 45 bytes each) the chunk goes on with a
@@ -292,6 +293,8 @@ class _MedianSearch:
         mult = ball.group.multiply
         elements = ball.elements
         index_get = ball.index.get
+        # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
+        xr = self.xr if self.x.kind == VERTEX else None
         m = 0
         while m <= ball.radius:
             if prune and self.best_key is not None:
@@ -305,6 +308,9 @@ class _MedianSearch:
                 tid = index_get(mult(anchor_elem, elements[sid]))
                 if tid is None:
                     continue
+                if xr is not None and tid not in xr:
+                    xr[tid] = 2 * m
+                    xr.held[0] += 1
                 self.consider_vertex(tid)
                 if self.t_halves:
                     for w in ball.adj[tid]:

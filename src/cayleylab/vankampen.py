@@ -349,7 +349,10 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     When a fill reports the radius it needs (an adaptive threshold grew),
     that word's fill reruns on a ball of exactly that radius, resuming at
     the threshold it had reached; any other resource error doubles the
-    radius, bounded by the ball's vertex cap.
+    radius, bounded by the ball's vertex cap.  The scan runs one BFS: the
+    largest length's ball is built fresh, and every other ball, rebuilt
+    ones included, is truncated or grown from it (`build_ball`'s
+    `source`), so each equals a fresh build of its radius.
     """
     if policy is None:
         policy = adaptive()
@@ -357,6 +360,8 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     if not lengths or min(lengths) < 4:
         raise InputError("scan lengths must be at least 4")
     tasks = _scan_tasks(group, lengths, samples_per_length)
+    if len({n for n, _, _ in tasks}) < len(lengths):
+        raise InputError("every scan length needs a word; sample at least one")
 
     def draw_word(task, ball):
         n, s, kind = task
@@ -365,7 +370,8 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
         return random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
 
     # balls and words are made serially before any threading
-    if group.geodesic_word(group.identity()) is not None:
+    ball_free = group.geodesic_word(group.identity()) is not None
+    if ball_free:
         # the words need no ball, so each length's ball fits its words
         words = {task: draw_word(task, None) for task in tasks}
         radii: dict[int, int] = {}
@@ -373,10 +379,14 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
             r = fill_ball_radius(group, free_reduce(group.alphabet, w),
                                  policy.t0)
             radii[n] = max(radii.get(n, 0), r)
-        balls = {n: build_ball(group, r) for n, r in radii.items()}
     else:
-        balls = {n: build_ball(group, n // 2 + n + policy.t0)
-                 for n in lengths}
+        radii = {n: n // 2 + n + policy.t0 for n in lengths}
+    # one BFS per scan: every other ball is a prefix or growth of this one
+    top = build_ball(group, radii[lengths[-1]])
+    balls = {n: top if n == lengths[-1]
+             else build_ball(group, r, top.max_vertices, top)
+             for n, r in radii.items()}
+    if not ball_free:
         words = {task: draw_word(task, balls[task[0]]) for task in tasks}
 
     def run_task(task):
@@ -389,7 +399,8 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
                 tree = fill(b, w, task_policy)
                 return (n, s, tree.leaf_count, tree.threshold)
             except ResourceError as exc:
-                b = build_ball(group, exc.needed_radius or 2 * b.radius)
+                b = build_ball(group, exc.needed_radius or 2 * b.radius,
+                               top.max_vertices, top)
                 if exc.threshold is not None:
                     task_policy = ThresholdPolicy(policy.kind, exc.threshold)
 

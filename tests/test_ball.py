@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cayleylab.ball import Point, build_ball
-from cayleylab.errors import InputError
+from cayleylab.errors import InputError, ResourceError
 from cayleylab.groups import RewritingGroup, get_group
 from cayleylab.rewriting import parse_group_file
 from oracles import (free_distance, heisenberg_ball, z2_abc_norm, z2_std_norm)
@@ -204,3 +204,77 @@ def test_point_outside_ball_rejected():
     ball = build_ball(get_group("z2-std"), 2)
     with pytest.raises(InputError):
         ball.distance(Point.vertex(0), Point.vertex(len(ball) + 5))
+
+
+# -- balls derived from a source ball -----------------------------------------
+
+Z5_RULES_TEXT = """\
+# Z/5: the BFS ends at radius 2
+generators: a
+order: a a^
+a a a -> a^ a^
+a^ a^ a^ -> a a
+"""
+BALL_FIELDS = ("elements", "index", "dist", "parent_gen", "adj", "shell_start",
+               "radius", "max_vertices")
+
+
+def _named_group(name):
+    if name == "z2-rules":
+        return RewritingGroup(name, parse_group_file(Z2_RULES_TEXT)[1])
+    if name == "z5-rules":
+        return RewritingGroup(name, parse_group_file(Z5_RULES_TEXT)[1])
+    return get_group(name)
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("z2-std", 8), ("z2-abc", 6), ("f2", 4), ("heisenberg", 5),
+    ("z2-rules", 6), ("z5-rules", 5),
+])
+def test_ball_from_source_equals_fresh_build(name, radius):
+    """Truncating or growing a source ball gives the fresh build, field by
+    field, and truncation makes no apply calls."""
+    group = _named_group(name)
+    fresh = [build_ball(group, r) for r in range(radius + 1)]
+    calls = [0]
+    apply = group.apply
+
+    def counted(e, gen):
+        calls[0] += 1
+        return apply(e, gen)
+
+    group.apply = counted
+    for r0 in range(radius + 1):
+        source = build_ball(group, r0)
+        for r in range(radius + 1):
+            calls[0] = 0
+            ball = build_ball(group, r, source=source)
+            for field in BALL_FIELDS:
+                assert getattr(ball, field) == getattr(fresh[r], field), \
+                    (r0, r, field)
+            if r <= r0:
+                assert calls[0] == 0
+
+
+def test_ball_from_source_hits_the_cap_like_a_fresh_build():
+    group = get_group("z2-std")
+    for radius, cap, r0 in ((10, 100, 3), (10, 100, 6), (5, 50, 8),
+                            (6, 84, 2), (6, 84, 7)):
+        with pytest.raises(ResourceError) as fresh:
+            build_ball(group, radius, cap)
+        with pytest.raises(ResourceError) as derived:
+            build_ball(group, radius, cap, build_ball(group, r0))
+        assert str(derived.value) == str(fresh.value)
+    # Z/5 is whole at radius 2, so growing its ball discovers nothing
+    z5 = _named_group("z5-rules")
+    with pytest.raises(ResourceError):
+        build_ball(z5, 4, 4)
+    with pytest.raises(ResourceError):
+        build_ball(z5, 4, 4, build_ball(z5, 3))
+    # exactly at the cap both succeed: |B(6)| = 85
+    assert len(build_ball(group, 6, 85, build_ball(group, 2))) == 85
+
+
+def test_ball_from_source_of_another_group_rejected():
+    with pytest.raises(InputError):
+        build_ball(get_group("z2-std"), 2, source=build_ball(get_group("f2"), 3))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -16,6 +17,11 @@ from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
 from oracles import grid_min_slack
 
 F = Fraction
+# sha256 of the medians of 300 seeded vertex triples of norm <= 20 in the
+# z2-std ball of radius 40, as the search found them before it read
+# d(x, t) off the shell
+DIGEST_300_Z2_MEDIANS = \
+    "58b24fcdf4522a363e46f67e7b6acaee707dfe8a6ea3e0c34c17cf74f0e48057"
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +176,28 @@ def test_shared_chunk_cache_matches_fresh_median(name):
     assert rows.held[0] == held
 
 
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
+def test_cached_rows_hold_exact_distances(name):
+    # the shell scan writes d(x, t) into x's row without vertex_distance;
+    # every entry must still be what vertex_distance returns
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "vertices")
+    rows = DistanceRows(ball)
+    rng = random.Random(17)
+    for _ in range(300):
+        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+        for t_halves in (False, True):
+            median(ball, x, y, z, t_halves=t_halves, prune=False, _rows=rows)
+    checked = 0
+    for u, row in rows.items():
+        for v, d2 in row.items():
+            d = ball.vertex_distance(u, v)
+            assert d2 == (None if d is None else 2 * d)
+            checked += 1
+    assert checked > 3_000
+
+
 def test_chunk_cache_bound_keeps_results(monkeypatch):
     # a chunk whose cache outgrows the bound goes on with a fresh one, and
     # the dropped caches are freed without waiting for the cycle collector
@@ -210,6 +238,30 @@ def test_delta_search_reads_each_distance_once(monkeypatch):
     assert est.value == 2
     # a group product per lookup made 153,720 calls on this domain
     assert calls[0] <= 153_720 // 10
+
+
+def test_median_reads_distance_to_x_off_the_shell(monkeypatch):
+    calls = [0]
+    vertex_distance = BallIndex.vertex_distance
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return vertex_distance(self, u, v)
+
+    monkeypatch.setattr(BallIndex, "vertex_distance", counted)
+    ball = build_ball(get_group("z2-std"), 40)
+    rng = random.Random(0)
+    found = []
+    for _ in range(300):
+        x, y, z = (Point.vertex(v)
+                   for v in rng.sample(range(ball.shell_start[21]), 3))
+        med = median(ball, x, y, z, t_halves=False)
+        found.append((med.t.kind, med.t.a, med.t.b, str(med.slack),
+                      tuple(str(s) for s in med.pair_slacks)))
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == \
+        DIGEST_300_Z2_MEDIANS
+    # computing d(x, t) for each shell candidate made 351,696 calls
+    assert calls[0] <= 280_000
 
 
 # -- estimate_delta ---------------------------------------------------------

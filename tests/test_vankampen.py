@@ -89,8 +89,9 @@ def test_fill_trivial_single_leaf(z2, z2ball):
 
 def test_fill_free_group_word_reduces_away():
     group = get_group("f2")
-    ball = build_ball(group, 12)
     w = group.alphabet.parse_word("a,b,b^,a^")
+    ball = build_ball(group, fill_ball_radius(
+        group, free_reduce(group.alphabet, w), 4))
     tree = fill(ball, w, fixed(4))
     assert tree.leaf_count == 1
     assert tree.root.loop.word == ()
@@ -262,6 +263,29 @@ def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
     scan = dehn_scan(get_group("f2"), [8, 12], 2, adaptive(4), seed=0)
     assert radii == [4, 4]
     assert scan.records == [(8, 2, 1, Fraction(1)), (12, 2, 1, Fraction(1))]
+
+
+def test_dehn_scan_builds_one_ball_by_bfs():
+    # every ball of the scan is a prefix or growth of the largest length's
+    group = get_group("z2-std")
+    calls = [0]
+    apply = group.apply
+
+    def counted(e, gen):
+        calls[0] += 1
+        return apply(e, gen)
+
+    group.apply = counted
+    scan = dehn_scan(group, [16, 24], 4, adaptive(4), seed=0)
+    assert scan.records == [(16, 5, 9, Fraction(5)),
+                            (24, 5, 19, Fraction(31, 5))]
+    # one fresh build per ball made 44,142 calls
+    assert calls[0] <= 20_000
+
+
+def test_dehn_scan_needs_a_word_per_length():
+    with pytest.raises(InputError):
+        dehn_scan(get_group("f2"), [8, 12], 0, adaptive(4))
 
 
 def test_fill_ball_radius_formula(z2):
