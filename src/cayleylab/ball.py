@@ -18,7 +18,7 @@ to a cached breadth-first search inside the ball, which can only
 overestimate.  Callers that need exactness keep their query points within
 the documented radius margins.  Lookups are not cached here beyond the
 inverses and BFS rows: the median search in ldelta caches repeated
-distances in its per-chunk distance rows.
+distances in its own distance rows.
 
 Distances may take half-integer values: the geometric realization admits
 edge midpoints ("half-edge points"), and the distance from a midpoint of
@@ -26,7 +26,6 @@ edge midpoints ("half-edge points"), and the distance from a midpoint of
 """
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,7 +132,6 @@ class BallIndex:
 
         self._edges: list[tuple[int, int]] | None = None
         self._bfs_cache: dict[int, list[int]] = {}
-        self._cache_lock = threading.Lock()
         self._inverse_cache: dict[int, Element] = {}
 
     def _expand(self, vid: int) -> None:
@@ -223,8 +221,7 @@ class BallIndex:
         return row[v] if row[v] >= 0 else None
 
     def _bfs_from(self, source: int) -> list[int]:
-        with self._cache_lock:
-            row = self._bfs_cache.get(source)
+        row = self._bfs_cache.get(source)
         if row is not None:
             return row
         row = [-1] * len(self.elements)
@@ -239,8 +236,7 @@ class BallIndex:
                         row[v] = du + 1
                         nxt.append(v)
             frontier = nxt
-        with self._cache_lock:
-            self._bfs_cache.setdefault(source, row)
+        self._bfs_cache[source] = row
         return row
 
     # -- realization points ------------------------------------------------

@@ -24,18 +24,27 @@ vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
 midpoint's row is read from its ends' rows, and one seed geodesic per
 point pair is kept as well.  The shell scan fills a vertex x's row as it
-goes: the candidate t = x s for s on shell m lies at distance m from x.  estimate_delta makes one cache per chunk of
-triples, private to the worker running that chunk (no lock), holding
-only the distances the chunk asked for; once it holds more than
-_CACHE_ENTRIES of them (about 45 bytes each) the chunk goes on with a
-fresh one.  median() makes a fresh cache per call, so a search over a
-large ball computes each distance at most once and never a full row.
+goes: the candidate t = x s for s on shell m lies at distance m from x.
+median() makes a fresh cache per call; estimate_delta shares one across
+its triples and starts afresh past _CACHE_ENTRIES distances (about 45
+bytes each).  Neither computes a full row.
+
+estimate_delta is one serial loop with a running cap, the largest slack
+so far.  Two skips leave its output that of one search per triple:
+- a triple's own points are the search's first seed step, and t = x has
+  slack d(x, y) + d(x, z) - d(y, z), twice the Gromov product (y|z)_x;
+  when the least of the three is at most the cap the search would abort
+  there, so the triple is skipped before it starts;
+- with the recommended ball radius every distance read is exact, so
+  left translates of a triple have equal slack, and exhaustive mode
+  searches only the first triple of each class in iteration order.  It
+  meets the cap the plain loop would; later members never exceed it.
+  Below that radius truncation breaks the invariance and it is off.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -330,9 +339,9 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
     or below `cap` (when given) was ruled out early.
 
     A call checks its points and searches with a fresh DistanceRows.
-    `_rows` is estimate_delta's batch path only: it shares one cache over
-    a chunk of triples and skips the checks, because that domain was
-    built distinct and in the ball.
+    `_rows` is estimate_delta's path only: it shares one cache over many
+    triples and skips the checks, because that domain was built distinct
+    and in the ball.
     """
     if _rows is None:
         for p in (x, y, z):
@@ -367,24 +376,37 @@ def recommended_ball_radius(group, domain_radius: int) -> int:
     return 2 * domain_radius + 2
 
 
-_CHUNK = 4096
+def _translation_key(ball: BallIndex, points: list[Point]):
+    """key(i, j, k) is equal for two triples of domain points exactly when
+    one is a left translate of the other, and costs no group product.
 
+    diff[u][v] interns u^-1 v over the domain's vertex ids, an id-prefix
+    holding every midpoint's ends.  A key is the least sorted view of the
+    triple from one of its (end) vertices.
+    """
+    group, elements = ball.group, ball.elements
+    nv = sum(p.kind == VERTEX for p in points)
+    names: dict = {}
+    diff = [[names.setdefault(group.multiply(inv, elements[v]), len(names))
+             for v in range(nv)]
+            for inv in map(group.inverse, elements[:nv])]
+    if nv == len(points):
+        def key(i, j, k):
+            return min((du[v], du[w]) if du[v] < du[w] else (du[w], du[v])
+                       for du, v, w in ((diff[i], j, k), (diff[j], k, i),
+                                        (diff[k], i, j)))
+        return key
+    seen_as: dict = {}
+    views = [[seen_as.setdefault((d[p.a],) if p.kind == VERTEX else
+                                 tuple(sorted((d[p.a], d[p.b]))), len(seen_as))
+              for p in points] for d in diff]
+    ends = [(p.a,) if p.kind == VERTEX else (p.a, p.b) for p in points]
 
-def _process_chunk(ball, points, triples, start_index, cap, t_halves):
-    # the domain points are distinct and in the ball, so the triples skip
-    # median()'s checks and share one cache, private to this chunk
-    rows = DistanceRows(ball)
-    records = []
-    local_cap = cap
-    for offset, (i, j, k) in enumerate(triples):
-        if rows.held[0] > _CACHE_ENTRIES:
-            rows = DistanceRows(ball)
-        med = median(ball, points[i], points[j], points[k], cap=local_cap,
-                     t_halves=t_halves, _rows=rows)
-        if med is not None and med.slack > local_cap:
-            records.append((start_index + offset, (i, j, k), med))
-            local_cap = med.slack
-    return records
+    def key(i, j, k):
+        return min(tuple(sorted((view[i], view[j], view[k])))
+                   for view in map(views.__getitem__,
+                                   {*ends[i], *ends[j], *ends[k]}))
+    return key
 
 
 def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
@@ -394,25 +416,39 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
 
     Exhaustive mode iterates all unordered triples and is permitted only
     while (domain size)^3 stays under 10^7; beyond that, seeded sampling
-    is forced.  The result is deterministic for a given configuration and
-    independent of the thread count: chunks are merged by an associative
-    maximum, and the witness is the earliest triple attaining it.
+    is forced.  The result is that of one search per triple under a
+    running cap: the witness is the earliest triple attaining the maximum,
+    with its own search as witness_median.  The pre-filter skips triples
+    in both modes, translation classes in exhaustive mode only, as
+    sampled draws rarely repeat a class.  `threads` is ignored.
     """
     points = domain_points(ball, radius, domain)
     n = len(points)
-    label = sampling
     if sampling == "exhaustive" and n ** 3 > EXHAUSTIVE_TRIPLE_CAP:
-        sampling = "sampled"
-        samples = samples or DEFAULT_FORCED_SAMPLES
-        label = f"sampled({samples},{seed})"
-    elif sampling == "sampled":
-        if samples <= 0:
-            raise InputError("sampled mode needs a positive sample count")
-        label = f"sampled({samples},{seed})"
+        sampling, samples = "sampled", samples or DEFAULT_FORCED_SAMPLES
+    elif sampling == "sampled" and samples <= 0:
+        raise InputError("sampled mode needs a positive sample count")
+    label = f"sampled({samples},{seed})" if sampling == "sampled" else sampling
 
+    # the domain points are distinct and in the ball, so the triples skip
+    # median()'s checks and share one cache
+    rows = DistanceRows(ball)
+
+    def pair2(i, j):  # twice the distance, read as the search reads it
+        p, q = points[i], points[j]
+        return _d2(p, rows.point_row(p), q, rows.point_row(q))
+
+    key = None
     if sampling == "exhaustive":
         triple_iter = itertools.combinations(range(n), 3)
         total = n * (n - 1) * (n - 2) // 6
+        table = [[pair2(i, j) for j in range(n)] for i in range(n)]
+
+        def pair2(i, j):
+            return table[i][j]
+        # below the margin, truncated distances break translation invariance
+        if ball.radius >= recommended_ball_radius(ball.group, radius):
+            key = _translation_key(ball, points)
     elif sampling == "sampled":
         if n < 3:
             raise InputError("domain has fewer than three points")
@@ -423,50 +459,25 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     else:
         raise InputError(f"unknown sampling mode {sampling!r}")
 
-    t_halves = True  # the t-search always admits midpoints
-    records: list[tuple[int, tuple[int, int, int], MedianResult]] = []
-    cap = Fraction(-1)  # below any slack, so the first triple is recorded
-    index = 0
-    done = False
-    while not done:
-        wave: list[list[tuple[int, int, int]]] = []
-        for _ in range(max(1, threads)):
-            chunk = list(itertools.islice(triple_iter, _CHUNK))
-            if not chunk:
-                done = True
-                break
-            wave.append(chunk)
-        if not wave:
-            break
-        if threads > 1 and len(wave) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = []
-                off = index
-                for chunk in wave:
-                    futs.append(pool.submit(_process_chunk, ball, points,
-                                            chunk, off, cap, t_halves))
-                    off += len(chunk)
-                for fut in futs:
-                    records.extend(fut.result())
-                index = off
-        else:
-            for chunk in wave:
-                records.extend(_process_chunk(ball, points, chunk, index,
-                                              cap, t_halves))
-                index += len(chunk)
-        for rec in records:
-            if rec[2].slack > cap:
-                cap = rec[2].slack
-
-    value = Fraction(0)
-    witness = None
-    witness_median = None
-    if records:
-        top = max(r[2].slack for r in records)
-        idx, (i, j, k), med = min((r for r in records if r[2].slack == top),
-                                  key=lambda r: r[0])
-        value = max(top, Fraction(0))
-        witness = (points[i], points[j], points[k])
-        witness_median = med
-    return DeltaEstimate(radius, domain, label, value, witness,
-                         witness_median, total)
+    seen: set = set()
+    cap, cap2, best = Fraction(-1), -2, None  # below any slack
+    for i, j, k in triple_iter:
+        dxy, dyz, dzx = pair2(i, j), pair2(j, k), pair2(k, i)
+        # slack at t = x is max(0, dxy + dzx - dyz), and so on
+        if cap2 >= 0 and None not in (dxy, dyz, dzx) and \
+                min(dxy + dzx - dyz, dxy + dyz - dzx, dyz + dzx - dxy) <= cap2:
+            continue
+        if key is not None:
+            c = key(i, j, k)
+            if c in seen:
+                continue
+            seen.add(c)
+        if rows.held[0] > _CACHE_ENTRIES:
+            rows = DistanceRows(ball)
+        x, y, z = points[i], points[j], points[k]
+        med = median(ball, x, y, z, cap=cap, _rows=rows)
+        if med is not None and med.slack > cap:
+            cap, cap2, best = med.slack, int(2 * med.slack), ((x, y, z), med)
+    witness, witness_median = best or (None, None)
+    return DeltaEstimate(radius, domain, label, max(cap, Fraction(0)),
+                         witness, witness_median, total)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -340,8 +339,8 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     Each length gets `samples_per_length` random identity words plus the
     canonical commutator word when the family defines one.  The fitted
     exponent is the least-squares slope of log(max cells) against log(n),
-    absent with fewer than two distinct lengths.  Results are merged by
-    (length, sample index) and do not depend on the thread count.
+    absent with fewer than two distinct lengths.  The fills run serially
+    in (length, sample index) order; `threads` is accepted and ignored.
 
     Each length n starts from one shared ball of radius n // 2 + n + t0;
     when the group draws its words without a ball, the words come first
@@ -369,7 +368,6 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
             return canonical_identity_word(group, n)
         return random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
 
-    # balls and words are made serially before any threading
     ball_free = group.geodesic_word(group.identity()) is not None
     if ball_free:
         # the words need no ball, so each length's ball fits its words
@@ -404,12 +402,7 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
                 if exc.threshold is not None:
                     task_policy = ThresholdPolicy(policy.kind, exc.threshold)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-    results.sort(key=lambda rec: (rec[0], rec[1]))
+    results = [run_task(t) for t in tasks]  # in (length, sample) order
 
     records = []
     max_threshold = policy.t0

@@ -2,9 +2,12 @@
 
 Everything here is written against the raw group definitions, not the
 library's ball or distance machinery, so the two routes stay independent.
+The one exception is plain_exhaustive_delta, a reference loop around the
+library's own median search that estimate_delta's skips must reproduce.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -145,3 +148,24 @@ def grid_min_slack(x, y, z, search_radius: int) -> Fraction:
         if best is None or s < best:
             best = s
     return best
+
+
+def plain_exhaustive_delta(ball, radius: int, domain: str, triples=None):
+    """(value, witness, witness_median, triples examined) from one median
+    search per triple of domain indices, combinations order by default,
+    under a running cap; the witness is the earliest triple attaining the
+    maximum.  No pre-filter and no translation classes."""
+    from cayleylab.ldelta import DistanceRows, domain_points, median
+
+    points = domain_points(ball, radius, domain)
+    if triples is None:
+        triples = itertools.combinations(range(len(points)), 3)
+    rows = DistanceRows(ball)
+    cap, best, count = Fraction(-1), (None, None), 0
+    for i, j, k in triples:
+        count += 1
+        med = median(ball, points[i], points[j], points[k], cap=cap,
+                     _rows=rows)
+        if med is not None and med.slack > cap:
+            cap, best = med.slack, ((points[i], points[j], points[k]), med)
+    return (max(cap, Fraction(0)),) + best + (count,)

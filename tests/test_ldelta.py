@@ -14,7 +14,7 @@ from cayleylab.groups import get_group
 from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
                               median, pair_slacks, recommended_ball_radius,
                               slack)
-from oracles import grid_min_slack
+from oracles import grid_min_slack, plain_exhaustive_delta
 
 F = Fraction
 # sha256 of the medians of 300 seeded vertex triples of norm <= 20 in the
@@ -314,6 +314,65 @@ def test_estimate_thread_count_invariance(z2ball):
     assert one.value == four.value
     assert one.witness == four.witness
     assert one.witness_median == four.witness_median
+
+
+def _as_oracle(est):
+    return est.value, est.witness, est.witness_median, est.triples_examined
+
+
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
+@pytest.mark.parametrize("domain,radius", [("vertices", 3), ("half", 2)])
+def test_exhaustive_delta_equals_one_search_per_triple(name, domain, radius):
+    # the pre-filter and the translation classes skip searches, never
+    # change the value, the witness or its median
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, radius))
+    est = estimate_delta(ball, radius, domain=domain, sampling="exhaustive")
+    assert est.sampling == "exhaustive"
+    assert _as_oracle(est) == plain_exhaustive_delta(ball, radius, domain)
+
+
+@pytest.mark.parametrize("name", ["z2-abc", "heisenberg"])
+def test_sampled_delta_equals_one_search_per_draw(name):
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    est = estimate_delta(ball, 3, domain="half", sampling="sampled",
+                         samples=3000, seed=9)
+    rng = random.Random(9)
+    n = len(domain_points(ball, 3, "half"))
+    draws = [tuple(rng.sample(range(n), 3)) for _ in range(3000)]
+    assert _as_oracle(est) == plain_exhaustive_delta(ball, 3, "half", draws)
+
+
+def _count_medians(monkeypatch):
+    calls = [0]
+    search = ldelta.median
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(ldelta, "median", counted)
+    return calls
+
+
+def test_exhaustive_delta_searches_one_triple_per_class(monkeypatch):
+    calls = _count_medians(monkeypatch)
+    ball = build_ball(get_group("z2-abc"), 12)
+    est = estimate_delta(ball, 5, domain="vertices", sampling="exhaustive")
+    assert est.value == 3
+    assert est.triples_examined == 121_485
+    # one search per triple made 121,485 calls; there are 10,055 classes
+    assert calls[0] <= 5_000
+
+
+def test_translation_classes_need_the_ball_margin(monkeypatch):
+    # ball 7 is under recommended_ball_radius(z2-abc, 5) == 12: truncated
+    # distances break translation invariance, so only the pre-filter skips
+    calls = _count_medians(monkeypatch)
+    estimate_delta(build_ball(get_group("z2-abc"), 7), 5, domain="vertices",
+                   sampling="exhaustive")
+    assert calls[0] > 5_000
 
 
 def test_exhaustive_cap_forces_sampling(f2ball):
