@@ -36,10 +36,12 @@ so far.  Two skips leave its output that of one search per triple:
   when the least of the three is at most the cap the search would abort
   there, so the triple is skipped before it starts;
 - with the recommended ball radius every distance read is exact, so
-  left translates of a triple have equal slack, and exhaustive mode
-  searches only the first triple of each class in iteration order.  It
-  meets the cap the plain loop would; later members never exceed it.
-  Below that radius truncation breaks the invariance and it is off.
+  left translates of a triple have equal slack, and exhaustive mode on
+  the vertex domain searches only the first triple of each class in
+  iteration order.  It meets the cap the plain loop would; later members
+  never exceed it.  Below that radius truncation breaks the invariance
+  and it is off; it is off too where pairs have few translates (about 2
+  in F2), as the classes then save little.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from .errors import InputError, ResourceError
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 7
 DEFAULT_FORCED_SAMPLES = 100_000
 _CACHE_ENTRIES = 1 << 17
+_MIN_TRANSLATES = 4
 
 
 @dataclass(frozen=True)
@@ -377,35 +380,28 @@ def recommended_ball_radius(group, domain_radius: int) -> int:
 
 
 def _translation_key(ball: BallIndex, points: list[Point]):
-    """key(i, j, k) is equal for two triples of domain points exactly when
-    one is a left translate of the other, and costs no group product.
+    """key(i, j, k) is equal for two triples of domain vertices exactly
+    when one is a left translate of the other, and costs no group product.
 
-    diff[u][v] interns u^-1 v over the domain's vertex ids, an id-prefix
-    holding every midpoint's ends.  A key is the least sorted view of the
-    triple from one of its (end) vertices.
+    diff[u][v] interns u^-1 v over the domain, an id-prefix of the ball; a
+    key is the least sorted view of the triple from one of its vertices.
+    None when a pair has fewer than
+    _MIN_TRANSLATES translates in the domain on average (nv^2 over the
+    distinct diffs): then classes are barely smaller than triples, and the
+    set of searched keys costs memory for few skipped searches.
     """
     group, elements = ball.group, ball.elements
-    nv = sum(p.kind == VERTEX for p in points)
     names: dict = {}
     diff = [[names.setdefault(group.multiply(inv, elements[v]), len(names))
-             for v in range(nv)]
-            for inv in map(group.inverse, elements[:nv])]
-    if nv == len(points):
-        def key(i, j, k):
-            return min((du[v], du[w]) if du[v] < du[w] else (du[w], du[v])
-                       for du, v, w in ((diff[i], j, k), (diff[j], k, i),
-                                        (diff[k], i, j)))
-        return key
-    seen_as: dict = {}
-    views = [[seen_as.setdefault((d[p.a],) if p.kind == VERTEX else
-                                 tuple(sorted((d[p.a], d[p.b]))), len(seen_as))
-              for p in points] for d in diff]
-    ends = [(p.a,) if p.kind == VERTEX else (p.a, p.b) for p in points]
+             for v in range(len(points))]
+            for inv in map(group.inverse, elements[:len(points)])]
+    if len(points) ** 2 < _MIN_TRANSLATES * len(names):
+        return None
 
     def key(i, j, k):
-        return min(tuple(sorted((view[i], view[j], view[k])))
-                   for view in map(views.__getitem__,
-                                   {*ends[i], *ends[j], *ends[k]}))
+        return min((du[v], du[w]) if du[v] < du[w] else (du[w], du[v])
+                   for du, v, w in ((diff[i], j, k), (diff[j], k, i),
+                                    (diff[k], i, j)))
     return key
 
 
@@ -419,8 +415,8 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     is forced.  The result is that of one search per triple under a
     running cap: the witness is the earliest triple attaining the maximum,
     with its own search as witness_median.  The pre-filter skips triples
-    in both modes, translation classes in exhaustive mode only, as
-    sampled draws rarely repeat a class.  `threads` is ignored.
+    in both modes; translation classes only exhaustive vertex-domain
+    ones, as sampled draws rarely repeat a class.  `threads` is ignored.
     """
     points = domain_points(ball, radius, domain)
     n = len(points)
@@ -447,7 +443,8 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
         def pair2(i, j):
             return table[i][j]
         # below the margin, truncated distances break translation invariance
-        if ball.radius >= recommended_ball_radius(ball.group, radius):
+        if domain == "vertices" and \
+                ball.radius >= recommended_ball_radius(ball.group, radius):
             key = _translation_key(ball, points)
     elif sampling == "sampled":
         if n < 3:

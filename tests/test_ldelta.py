@@ -332,6 +332,21 @@ def test_exhaustive_delta_equals_one_search_per_triple(name, domain, radius):
     assert _as_oracle(est) == plain_exhaustive_delta(ball, radius, domain)
 
 
+@pytest.mark.parametrize("name,radius,domain,ball_radius", [
+    ("z2-abc", 3, "vertices", 4), ("heisenberg", 3, "vertices", 5),
+    ("z2-abc", 2, "half", 3)])
+def test_undersized_ball_delta_equals_one_search_per_triple(
+        name, radius, domain, ball_radius):
+    # below recommended_ball_radius distances are truncated in-ball BFS
+    # distances and the class skip is off; the pre-filter reads the same
+    # distances as the search, so it stays exact
+    group = get_group(name)
+    assert ball_radius < recommended_ball_radius(group, radius)
+    ball = build_ball(group, ball_radius)
+    est = estimate_delta(ball, radius, domain=domain, sampling="exhaustive")
+    assert _as_oracle(est) == plain_exhaustive_delta(ball, radius, domain)
+
+
 @pytest.mark.parametrize("name", ["z2-abc", "heisenberg"])
 def test_sampled_delta_equals_one_search_per_draw(name):
     group = get_group(name)
@@ -373,6 +388,17 @@ def test_translation_classes_need_the_ball_margin(monkeypatch):
     estimate_delta(build_ball(get_group("z2-abc"), 7), 5, domain="vertices",
                    sampling="exhaustive")
     assert calls[0] > 5_000
+
+
+@pytest.mark.parametrize("name,on", [("f2", False), ("heisenberg", True),
+                                     ("z2-abc", True)])
+def test_translation_classes_need_translates(name, on):
+    # a pair of F2 r3 vertices has about 2 translates in the domain, so
+    # classes save few searches there; Heisenberg has 4.7, z2-abc 10.8
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    points = domain_points(ball, 3, "vertices")
+    assert (ldelta._translation_key(ball, points) is not None) == on
 
 
 def test_exhaustive_cap_forces_sampling(f2ball):
