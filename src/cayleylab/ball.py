@@ -8,8 +8,8 @@ the BFS tree used to read off geodesic words from the identity.
 Because the BFS expands vertices in id order, the ball of radius r is an
 id-prefix of every larger ball: elements, dist, parent_gen and the rows
 of vertices below norm r agree, and only the outer shell's rows differ,
-keeping just in-ball ids.  build_ball(..., source=b) uses this to derive
-a ball from another one, truncating it or resuming its BFS.
+keeping just in-ball ids.  build_ball(..., source=b) uses this to grow a
+ball by resuming the BFS of a smaller one.
 
 Vertex-to-vertex distances use translation invariance: d(u, v) is the
 word norm of u^-1 v, a single table lookup.  This is the exact word
@@ -21,8 +21,10 @@ inverses and BFS rows: the median search in ldelta caches repeated
 distances in its own distance rows.
 
 Distances may take half-integer values: the geometric realization admits
-edge midpoints ("half-edge points"), and the distance from a midpoint of
-(u, v) to any point s is 1/2 + min(d(u, s), d(v, s)).
+edge midpoints ("half-edge points").  A point's ends are its vertex, or
+the two endpoints of its edge; the distance between two distinct points
+is the smallest distance between their ends plus 1/2 for each midpoint,
+and a geodesic runs between that nearest pair of ends.
 """
 from __future__ import annotations
 
@@ -97,34 +99,21 @@ class BallIndex:
             self.adj: list[list[int]] = []
             self._expand(0)
         else:
+            # resume the source's BFS at its unexpanded outer shell
             if source.group is not group:
                 raise InputError("source ball belongs to another group")
             if radius <= source.radius:
-                # the ball of radius r is the id-prefix of norm <= r; the
-                # rows expanded at that radius are shared, the outer shell
-                # keeps only in-ball ids
-                k = source.shell_start[radius + 1]
-                if k > max_vertices:
-                    raise _cap_error(max_vertices)
-                expanded = source.shell_start[radius]
-                self.elements = source.elements[:k]
-                self.index = dict(zip(self.elements, range(k)))
-                self.dist = source.dist[:k]
-                self.parent_gen = source.parent_gen[:k]
-                self.adj = source.adj[:expanded] + [
-                    [v if v < k else -1 for v in row]
-                    for row in source.adj[expanded:k]]
-            else:
-                # resume the source's BFS at its unexpanded outer shell
-                if len(source.elements) > max_vertices:
-                    raise _cap_error(max_vertices)
-                expanded = source.shell_start[source.radius]
-                self.elements = list(source.elements)
-                self.index = dict(source.index)
-                self.dist = list(source.dist)
-                self.parent_gen = list(source.parent_gen)
-                self.adj = source.adj[:expanded]
-                self._expand(expanded)
+                raise InputError("a source ball must be smaller than the "
+                                 "ball grown from it")
+            if len(source.elements) > max_vertices:
+                raise _cap_error(max_vertices)
+            expanded = source.shell_start[source.radius]
+            self.elements = list(source.elements)
+            self.index = dict(source.index)
+            self.dist = list(source.dist)
+            self.parent_gen = list(source.parent_gen)
+            self.adj = source.adj[:expanded]
+            self._expand(expanded)
 
         # dist is nondecreasing in the vertex id, so shell d starts at the
         # first id of norm >= d; an empty shell starts where the next one does
@@ -273,25 +262,23 @@ class BallIndex:
     def try_distance(self, p: Point, q: Point) -> Fraction | None:
         if p == q:
             return Fraction(0)
-        if p.kind == VERTEX and q.kind == VERTEX:
-            d = self.vertex_distance(p.a, q.a)
-            return None if d is None else Fraction(d)
-        if p.kind == HALF and q.kind == HALF:
-            best = None
-            for e in (p.a, p.b):
-                for f in (q.a, q.b):
-                    d = self.vertex_distance(e, f)
-                    if d is not None and (best is None or d < best):
-                        best = d
-            return None if best is None else Fraction(best) + 1
-        if p.kind == HALF:
-            p, q = q, p
+        ends = self._nearest_ends(p, q)
+        return None if ends is None else ends[0]
+
+    def _nearest_ends(self, p: Point,
+                      q: Point) -> tuple[Fraction, int, int] | None:
+        """(distance, e, f) through the first nearest pair of ends e of p
+        and f of q, for distinct points; None when no end pair resolves."""
         best = None
-        for f in (q.a, q.b):
-            d = self.vertex_distance(p.a, f)
-            if d is not None and (best is None or d < best):
-                best = d
-        return None if best is None else Fraction(best) + HALF_STEP
+        for e in ((p.a,) if p.kind == VERTEX else (p.a, p.b)):
+            for f in ((q.a,) if q.kind == VERTEX else (q.a, q.b)):
+                d = self.vertex_distance(e, f)
+                if d is not None and (best is None or d < best[0]):
+                    best = (d, e, f)
+        if best is None:
+            return None
+        d, e, f = best
+        return HALF_STEP * ((p.kind == HALF) + (q.kind == HALF)) + d, e, f
 
     # -- geodesics ---------------------------------------------------------
 
@@ -311,25 +298,21 @@ class BallIndex:
         return tuple(reversed(letters))
 
     def vertex_geodesic_word(self, u: int, v: int) -> Word:
-        """A geodesic word from vertex u to vertex v."""
+        """A geodesic word from vertex u to vertex v, inside the ball."""
         if u == v:
             return ()
         diff = self.group.multiply(self._inv_element(u), self.elements[v])
         try:
             w = self.word_to(diff)
         except InputError:
-            w = None
-        if w is not None and len(w) == self.vertex_distance(u, v):
-            # accept only if the translated path stays inside the ball
-            cur = u
-            for gen in w:
-                cur = self.adj[cur][gen]
-                if cur < 0:
-                    w = None
-                    break
-            if w is not None and cur == v:
-                return w
-        return self._inball_path(u, v, None)
+            return self._inball_path(u, v, None)
+        # accept the translated path only if it stays inside the ball
+        cur = u
+        for gen in w:
+            cur = self.adj[cur][gen]
+            if cur < 0:
+                return self._inball_path(u, v, None)
+        return w
 
     def _inball_path(self, u: int, v: int, max_norm: int | None) -> Word:
         """Shortest path word inside the ball, optionally norm-restricted."""
@@ -361,27 +344,12 @@ class BallIndex:
         """A path realizing distance(p, q), staying inside the ball."""
         self.check_point(p)
         self.check_point(q)
-        total = self.distance(p, q)
-        best: tuple[Fraction, int, int] | None = None
-        p_ends = (p.a,) if p.kind == VERTEX else (p.a, p.b)
-        q_ends = (q.a,) if q.kind == VERTEX else (q.a, q.b)
-        if p.kind == HALF and q.kind == HALF and (p.a, p.b) == (q.a, q.b):
+        if p == q:
             return GeodesicPath(p, q, p.a, q.a, (), Fraction(0))
-        for e in p_ends:
-            for f in q_ends:
-                d = self.vertex_distance(e, f)
-                if d is None:
-                    continue
-                length = Fraction(d)
-                if p.kind == HALF:
-                    length += HALF_STEP
-                if q.kind == HALF:
-                    length += HALF_STEP
-                if best is None or length < best[0]:
-                    best = (length, e, f)
-        if best is None or best[0] != total:
+        ends = self._nearest_ends(p, q)
+        if ends is None:
             raise ResourceError("geodesic not determinable inside this ball")
-        _, e, f = best
+        total, e, f = ends
         return GeodesicPath(p, q, e, f, self.vertex_geodesic_word(e, f), total)
 
     # -- sphere structure --------------------------------------------------
@@ -407,13 +375,14 @@ class BallIndex:
 
 def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000,
                source: BallIndex | None = None) -> BallIndex:
-    """The ball of the given radius, equal in every field to a fresh BFS.
+    """The ball of the given radius, built by BFS from the identity.
 
-    With `source`, a ball of the same group, the result is derived from
-    it: a smaller radius truncates it to an id-prefix without apply calls,
-    a larger one resumes its BFS at its outer shell.  Either way it equals
-    build_ball(group, radius, max_vertices), and the vertex cap fails as
-    a fresh build would.  Expanded adjacency rows are shared with the
-    source; no ball mutates its rows after it is built.
+    With `source`, a smaller ball of the same group, the BFS resumes at
+    the source's outer shell instead, so only the new shells cost apply
+    calls; the result equals build_ball(group, radius, max_vertices) in
+    every field, and the vertex cap fails as a fresh build would.  A
+    source at least as large as the radius asked for is an input error.
+    Expanded adjacency rows are shared with the source; no ball mutates
+    its rows after it is built.
     """
     return BallIndex(group, radius, max_vertices, source)

@@ -176,14 +176,8 @@ def cmd_fill(args) -> int:
         policy = adaptive()
     else:
         policy = fixed(int(args.threshold))
-    threshold = policy.t0
-    while True:
-        ball = build_ball(group, fill_ball_radius(group, w, threshold))
-        try:
-            tree = fill(ball, w, policy)
-            break
-        except ResourceError:
-            threshold *= 2  # adaptive growth outran the ball; rebuild
+    ball = build_ball(group, fill_ball_radius(group, w, policy.t0))
+    tree = fill(ball, w, policy)
 
     fmt_word = group.alphabet.format_word
     if args.emit == "tree":

@@ -1,31 +1,24 @@
 """Error classes shared across the package.
 
-The CLI maps these onto fixed exit codes: input errors exit 1, resource
-cap errors exit 2, internal consistency failures exit 3.
+`cli.main` maps each class onto a fixed exit code: input errors exit 1,
+resource cap errors exit 2, internal consistency failures exit 3.
+Subclasses exit as their base does.
 """
 
 
 class CayleyLabError(Exception):
-    exit_code = 1
+    pass
 
 
 class InputError(CayleyLabError):
-    exit_code = 1
+    """The request cannot be met as given: a bad argument or word, or a
+    setting too small for it."""
 
 
 class ResourceError(CayleyLabError):
-    """A resource cap was hit; `needed_radius` is the ball radius that
-    avoids it, when the raiser knows one, and `threshold` the fill
-    threshold reached when it was raised."""
-
-    exit_code = 2
-
-    def __init__(self, message: str = "", needed_radius: int | None = None,
-                 threshold: int | None = None):
-        super().__init__(message)
-        self.needed_radius = needed_radius
-        self.threshold = threshold
+    """A resource cap was hit, or a value is not determinable inside the
+    ball at hand."""
 
 
 class InternalError(CayleyLabError):
-    exit_code = 3
+    """A consistency check of the package's own results failed."""

@@ -150,7 +150,7 @@ class DistanceRows(dict):
         return row
 
     def walk(self, p: Point, q: Point) -> tuple[int, ...] | None:
-        """Vertex ids along ball.geodesic(p, q), cut where it leaves the
+        """Vertex ids along ball.geodesic(p, q), which stays inside the
         ball; None when the geodesic is not determinable."""
         key = (p, q)
         if key not in self.walks:
@@ -163,10 +163,7 @@ class DistanceRows(dict):
             adj = self.ball.adj
             ids = [path.start_vertex]
             for gen in path.word:
-                nxt = adj[ids[-1]][gen]
-                if nxt < 0:
-                    break
-                ids.append(nxt)
+                ids.append(adj[ids[-1]][gen])
             self.walks[key] = tuple(ids)
         return self.walks[key]
 

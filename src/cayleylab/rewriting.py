@@ -74,10 +74,6 @@ class RewritingSystem:
         return tuple(word)
 
 
-def normal_form(rs: RewritingSystem, w: Word) -> Word:
-    return rs.normal_form(w)
-
-
 @dataclass(frozen=True)
 class CriticalPair:
     source: Word      # the overlap word both rules apply to

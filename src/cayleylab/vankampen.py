@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ball import BallIndex, Point, build_ball
-from .errors import CayleyLabError, InputError, InternalError, ResourceError
+from .errors import InputError, InternalError, ResourceError
 from .groups import Group, ZnGroup
 from .ldelta import median
 from .words import Word, concat, free_reduce, invert
@@ -33,11 +33,13 @@ from .words import Word, concat, free_reduce, invert
 SUBCUBIC_EXPONENT = 1.0 / (1.0 - math.log(2, 3))  # about 2.7095
 
 
-class ContractionError(CayleyLabError):
-    """A split produced a child loop at least as long as its parent."""
+class ContractionError(InputError):
+    """A split produced a child loop at least as long as its parent, so
+    the fill threshold is too small for the word."""
 
     def __init__(self, child: "Loop"):
-        super().__init__(f"child loop of length {len(child.word)} did not shrink")
+        super().__init__(f"child loop of length {len(child.word)} did not "
+                         "shrink; the fill threshold is too small")
         self.child = child
 
 
@@ -227,9 +229,14 @@ def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
          ) -> SubdivisionTree:
     """Subdivide an identity word down to cells of length <= T.
 
-    The fixed policy raises on a contraction failure; the adaptive policy
-    doubles T (at least to the offending length) and restarts, so it
-    always terminates: once T reaches |w| the root is a leaf.
+    The fixed policy raises ContractionError on a contraction failure;
+    the adaptive policy doubles T (at least to the offending length) and
+    restarts, so it always terminates: once T reaches |w| the root is a
+    leaf.  Whenever fill_ball_radius(group, w, T) exceeds the ball's
+    radius, the fill grows the ball to it (build_ball with the ball as
+    source) and goes on at the same T.  Vertex ids are a BFS prefix and
+    every distance the fill reads is exact within that radius, so the
+    result does not depend on how large the ball it was given is.
     """
     group = ball.group
     w = free_reduce(group.alphabet, tuple(w))
@@ -244,9 +251,7 @@ def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
     while True:
         needed = fill_ball_radius(group, w, threshold)
         if ball.radius < needed:
-            raise ResourceError(
-                f"ball radius {ball.radius} too small for fill; need {needed}",
-                needed_radius=needed, threshold=threshold)
+            ball = build_ball(group, needed, ball.max_vertices, ball)
         try:
             root, depth, leaves, max_len = _fill_once(ball, root_loop,
                                                       threshold, 0)
@@ -342,16 +347,11 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     absent with fewer than two distinct lengths.  The fills run serially
     in (length, sample index) order; `threads` is accepted and ignored.
 
-    Each length n starts from one shared ball of radius n // 2 + n + t0;
-    when the group draws its words without a ball, the words come first
-    and the ball has the largest radius `fill_ball_radius` asks of them.
-    When a fill reports the radius it needs (an adaptive threshold grew),
-    that word's fill reruns on a ball of exactly that radius, resuming at
-    the threshold it had reached; any other resource error doubles the
-    radius, bounded by the ball's vertex cap.  The scan runs one BFS: the
-    largest length's ball is built fresh, and every other ball, rebuilt
-    ones included, is truncated or grown from it (`build_ball`'s
-    `source`), so each equals a fresh build of its radius.
+    The scan builds one ball, and every word is drawn from it and filled
+    on it.  Its radius is n // 2 + n + t0 for the largest length n; when
+    the group draws its words without a ball, the words come first and
+    the radius is the largest `fill_ball_radius` asks of them.  A fill
+    whose adaptive threshold outgrows the ball grows its own (see fill).
     """
     if policy is None:
         policy = adaptive()
@@ -362,47 +362,24 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     if len({n for n, _, _ in tasks}) < len(lengths):
         raise InputError("every scan length needs a word; sample at least one")
 
-    def draw_word(task, ball):
-        n, s, kind = task
-        if kind == "commutator":
-            return canonical_identity_word(group, n)
-        return random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
+    def draw_words(ball):
+        return [canonical_identity_word(group, n) if kind == "commutator"
+                else random_identity_word(group, n, f"{seed}:{n}:{s}",
+                                          ball=ball)
+                for n, s, kind in tasks]
 
-    ball_free = group.geodesic_word(group.identity()) is not None
-    if ball_free:
-        # the words need no ball, so each length's ball fits its words
-        words = {task: draw_word(task, None) for task in tasks}
-        radii: dict[int, int] = {}
-        for (n, _, _), w in words.items():
-            r = fill_ball_radius(group, free_reduce(group.alphabet, w),
-                                 policy.t0)
-            radii[n] = max(radii.get(n, 0), r)
+    if group.geodesic_word(group.identity()) is None:
+        n = lengths[-1]
+        ball = build_ball(group, n // 2 + n + policy.t0)
+        words = draw_words(ball)
     else:
-        radii = {n: n // 2 + n + policy.t0 for n in lengths}
-    # one BFS per scan: every other ball is a prefix or growth of this one
-    top = build_ball(group, radii[lengths[-1]])
-    balls = {n: top if n == lengths[-1]
-             else build_ball(group, r, top.max_vertices, top)
-             for n, r in radii.items()}
-    if not ball_free:
-        words = {task: draw_word(task, balls[task[0]]) for task in tasks}
-
-    def run_task(task):
-        n, s, _ = task
-        b = balls[n]
-        w = words[task]
-        task_policy = policy
-        while True:
-            try:
-                tree = fill(b, w, task_policy)
-                return (n, s, tree.leaf_count, tree.threshold)
-            except ResourceError as exc:
-                b = build_ball(group, exc.needed_radius or 2 * b.radius,
-                               top.max_vertices, top)
-                if exc.threshold is not None:
-                    task_policy = ThresholdPolicy(policy.kind, exc.threshold)
-
-    results = [run_task(t) for t in tasks]  # in (length, sample) order
+        words = draw_words(None)
+        ball = build_ball(group, max(fill_ball_radius(group, w, policy.t0)
+                                     for w in words))
+    results = []
+    for (n, s, _), w in zip(tasks, words):  # in (length, sample) order
+        tree = fill(ball, w, policy)
+        results.append((n, s, tree.leaf_count, tree.threshold))
 
     records = []
     max_threshold = policy.t0

@@ -147,6 +147,20 @@ def test_input_error_exit_code(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fill", "--group", "z2-std", "--word",
+     "a,a,a,a,b,b,b,b,a^,a^,a^,a^,b^,b^,b^,b^"],
+    ["dehn-scan", "--group", "z2-std", "--lengths", "16,24", "--samples", "2"],
+])
+def test_fixed_threshold_too_small_is_an_input_error(argv, capsys):
+    # the commutator words need threshold 8; a fixed 4 cannot shrink them
+    code, out, err = run(capsys, *argv, "--threshold", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "threshold is too small" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["delta", "--radius", "3"]) == 1  # missing --group
     capsys.readouterr()

@@ -219,7 +219,8 @@ def test_dehn_scan_thread_invariance():
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
-    # the commutator words need threshold 8, so radius n + n // 2 + 8
+    # one scan ball of radius 24 // 2 + 24 + 4; the n = 24 commutator
+    # needs threshold 8, so its fill grows that ball to 24 // 2 + 24 + 8
     radii = []
 
     def recording_build(group, radius, *args):
@@ -229,7 +230,7 @@ def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0,
                      threads=threads)
-    assert sorted(radii) == [28, 32, 40, 44]
+    assert sorted(radii) == [40, 44]
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
 
@@ -261,12 +262,12 @@ def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
 
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("f2"), [8, 12], 2, adaptive(4), seed=0)
-    assert radii == [4, 4]
+    assert radii == [4]
     assert scan.records == [(8, 2, 1, Fraction(1)), (12, 2, 1, Fraction(1))]
 
 
 def test_dehn_scan_builds_one_ball_by_bfs():
-    # every ball of the scan is a prefix or growth of the largest length's
+    # the scan builds one ball, and a fill that outgrows it resumes its BFS
     group = get_group("z2-std")
     calls = [0]
     apply = group.apply
@@ -294,3 +295,13 @@ def test_fill_ball_radius_formula(z2):
     f2 = get_group("f2")
     ww = f2.alphabet.parse_word("a,a,a^,a^")
     assert fill_ball_radius(f2, ww, 4) == 2 + 4 + 4
+
+
+def test_fill_grows_an_undersized_ball(z2, z2ball):
+    # radius 4 is below fill_ball_radius for every word here; the fill
+    # grows its own ball and matches the one made on ball 64
+    small = build_ball(z2, 4)
+    for k in range(2, 9):
+        w = commutator(z2, k)
+        assert fill(small, w, adaptive(4)) == fill(z2ball, w, adaptive(4))
+    assert small.radius == 4
