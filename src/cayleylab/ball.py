@@ -69,8 +69,6 @@ class GeodesicPath:
     end contributes an extra half step from the midpoint onto that vertex.
     """
 
-    start: Point
-    end: Point
     start_vertex: int
     end_vertex: int
     word: Word
@@ -188,13 +186,6 @@ class BallIndex:
             self._inverse_cache[vid] = e
         return e
 
-    def norm_of(self, e: Element) -> int | None:
-        exact = self.group.exact_norm(e)
-        if exact is not None:
-            return exact
-        vid = self.index.get(e)
-        return self.dist[vid] if vid is not None else None
-
     def vertex_distance(self, u: int, v: int) -> int | None:
         """Exact word distance when determinable, else in-ball BFS distance.
 
@@ -203,9 +194,12 @@ class BallIndex:
         if u == v:
             return 0
         diff = self.group.multiply(self._inv_element(u), self.elements[v])
-        d = self.norm_of(diff)
+        d = self.group.exact_norm(diff)
         if d is not None:
             return d
+        vid = self.index.get(diff)
+        if vid is not None:
+            return self.dist[vid]
         row = self._bfs_from(u)
         return row[v] if row[v] >= 0 else None
 
@@ -345,12 +339,12 @@ class BallIndex:
         self.check_point(p)
         self.check_point(q)
         if p == q:
-            return GeodesicPath(p, q, p.a, q.a, (), Fraction(0))
+            return GeodesicPath(p.a, q.a, (), Fraction(0))
         ends = self._nearest_ends(p, q)
         if ends is None:
             raise ResourceError("geodesic not determinable inside this ball")
         total, e, f = ends
-        return GeodesicPath(p, q, e, f, self.vertex_geodesic_word(e, f), total)
+        return GeodesicPath(e, f, self.vertex_geodesic_word(e, f), total)
 
     # -- sphere structure --------------------------------------------------
 

@@ -16,14 +16,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .ball import HALF, VERTEX, BallIndex, Point, build_ball
+from .ball import VERTEX, BallIndex, Point, build_ball
 from .convexity import INFINITE, verify_theorem1
 from .errors import InputError, InternalError, ResourceError
 from .groups import get_group
 from .ldelta import estimate_delta, median, recommended_ball_radius
 from .rewriting import check_local_confluence, parse_group_file
-from .vankampen import (adaptive, dehn_scan, fill, fill_ball_radius, fixed,
-                        to_conjugate_product)
+from .vankampen import adaptive, dehn_scan, fill, fixed, to_conjugate_product
 from .words import free_reduce
 
 
@@ -114,7 +113,7 @@ def cmd_delta(args) -> int:
     sampling = "exhaustive" if args.exhaustive or not args.samples else "sampled"
     est = estimate_delta(ball, args.radius, domain=args.domain,
                          sampling=sampling, samples=args.samples or 0,
-                         seed=args.seed, threads=args.threads)
+                         seed=args.seed)
     payload = _delta_payload(ball, est)
     emit([json.dumps(payload, indent=2)] if args.json else text_lines(payload))
     return 0
@@ -145,13 +144,11 @@ def cmd_ac(args) -> int:
     if args.delta == "auto":
         dom_r = min(args.nmax, max(args.radius - 2, 1))
         est = estimate_delta(ball, dom_r, domain="half",
-                             sampling="exhaustive", seed=args.seed,
-                             threads=args.threads)
+                             sampling="exhaustive", seed=args.seed)
         delta_hat = est.value
     else:
         delta_hat = Fraction(args.delta)
-    reports = verify_theorem1(ball, args.nmax, delta_hat,
-                              threads=args.threads)
+    reports = verify_theorem1(ball, args.nmax, delta_hat)
     lines = ["n,pairs,C_n,bound,pass"]
     for rep in reports:
         c = "inf" if rep.c_n == INFINITE else str(rep.c_n)
@@ -176,7 +173,8 @@ def cmd_fill(args) -> int:
         policy = adaptive()
     else:
         policy = fixed(int(args.threshold))
-    ball = build_ball(group, fill_ball_radius(group, w, policy.t0))
+    # fill checks the word first, then grows the ball to the radius it needs
+    ball = build_ball(group, 0)
     tree = fill(ball, w, policy)
 
     fmt_word = group.alphabet.format_word
@@ -225,7 +223,7 @@ def cmd_dehn_scan(args) -> int:
     group = get_group(args.group)
     policy = adaptive() if args.threshold == "auto" else fixed(int(args.threshold))
     scan = dehn_scan(group, parse_lengths(args.lengths), args.samples,
-                     policy, seed=args.seed, threads=args.threads)
+                     policy, seed=args.seed)
     lines = ["n,samples,max_cells,mean_cells"]
     for n, count, mx, mean in scan.records:
         lines.append(f"{n},{count},{mx},{frac(mean)}")
@@ -266,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "or a definition file path")
         if radius:
             p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; every computation is serial")
 
     p = sub.add_parser("ball", help="enumerate a ball as CSV or DOT")
     common(p)
@@ -279,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=["vertices", "half"], default="half")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_delta)
 
@@ -295,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--delta", default="auto",
                    help="delta-hat as a fraction, or auto to estimate")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ac)
 
     p = sub.add_parser("fill", help="trisection filling of an identity word")
@@ -310,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", required=True,
                    help="comma list or a..b..step range")
     p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", default="auto")
     p.set_defaults(func=cmd_dehn_scan)
 
@@ -323,11 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 1
-        code = args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return 0 if exc.code in (0, None) else 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -337,8 +337,8 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    print(f"duration_s={time.monotonic() - started:.3f}", file=sys.stderr)
-    return code
+    finally:
+        print(f"duration_s={time.monotonic() - started:.3f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .ball import BallIndex
 from .errors import InputError
-from .words import Word
 
 INFINITE = -1  # marker for "no inside-ball path"
 
@@ -32,29 +31,12 @@ class ACReport:
     passed: bool | None
 
 
-def inside_ball_path(ball: BallIndex, g: int, g2: int, n: int) -> Word | None:
-    """Shortest word from g to g2 through vertices of norm <= n, or None."""
-    if ball.dist[g] != n or ball.dist[g2] != n:
-        raise InputError("both endpoints must lie on the sphere of radius n")
-    if n > ball.radius - 1:
-        raise InputError("need n <= ball radius - 1")
-    d = ball.vertex_distance(g, g2)
-    if d is None or d > 2:
-        raise InputError("endpoints must be at most 2 apart")
-    try:
-        return ball._inball_path(g, g2, n)
-    except InputError:
-        return None
-
-
-def ac_constant(ball: BallIndex, n: int, bound: Fraction | None = None,
-                threads: int = 1) -> ACReport:
+def ac_constant(ball: BallIndex, n: int,
+                bound: Fraction | None = None) -> ACReport:
     """Exhaustive C_n over all sphere pairs at radius n.
 
     Each pair gets one breadth-first search restricted to B_n that stops
-    at the layer reaching its target, so every length is exact.  The scan
-    is serial: `threads` is accepted and ignored, because threads only
-    slowed it down under the interpreter lock.
+    at the layer reaching its target, so every length is exact.
     """
     pairs = ball.sphere_pairs(n)
     c_n = 0
@@ -77,11 +59,10 @@ def ac_constant(ball: BallIndex, n: int, bound: Fraction | None = None,
     return ACReport(n, len(pairs), c_n, worst, bound, passed)
 
 
-def verify_theorem1(ball: BallIndex, n_max: int, delta_hat: Fraction,
-                    threads: int = 1) -> list[ACReport]:
+def verify_theorem1(ball: BallIndex, n_max: int,
+                    delta_hat: Fraction) -> list[ACReport]:
     """C_n against the almost-convexity bound 3*delta_hat + 2 for each
     n <= n_max.  delta_hat underestimates the true constant, so failures
-    here are anomalies to examine rather than counterexamples.  `threads`
-    is ignored, as in ac_constant."""
+    here are anomalies to examine rather than counterexamples."""
     bound = 3 * delta_hat + 2
     return [ac_constant(ball, n, bound) for n in range(n_max + 1)]

@@ -404,7 +404,7 @@ def _translation_key(ball: BallIndex, points: list[Point]):
 
 def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
                    sampling: str = "exhaustive", samples: int = 0,
-                   seed: int = 0, threads: int = 1) -> DeltaEstimate:
+                   seed: int = 0) -> DeltaEstimate:
     """Maximize the triple delta over the domain.
 
     Exhaustive mode iterates all unordered triples and is permitted only
@@ -413,7 +413,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     running cap: the witness is the earliest triple attaining the maximum,
     with its own search as witness_median.  The pre-filter skips triples
     in both modes; translation classes only exhaustive vertex-domain
-    ones, as sampled draws rarely repeat a class.  `threads` is ignored.
+    ones, as sampled draws rarely repeat a class.
     """
     points = domain_points(ball, radius, domain)
     n = len(points)

@@ -64,17 +64,10 @@ def adaptive(t0: int = 4) -> ThresholdPolicy:
     return ThresholdPolicy("adaptive", t0)
 
 
-def default_threshold(delta_hat) -> int:
-    """The theorem-style starting threshold, never below 4."""
-    return max(math.ceil(3 * delta_hat + 2), 4)
-
-
 @dataclass
 class SubdivisionNode:
     loop: Loop
-    offsets: tuple[int, int] | None = None       # split positions of x and y
-    t: tuple | None = None                       # median element
-    pqr: tuple[Word, Word, Word] | None = None   # geodesics x->t, y->t, z->t
+    conjugators: tuple[Word, Word, Word] | None = None  # of the children
     children: list["SubdivisionNode"] = field(default_factory=list)
 
     @property
@@ -93,9 +86,7 @@ class SubdivisionTree:
 
 @dataclass
 class ConjugateProduct:
-    word: Word
     factors: list[tuple[Word, Word]]  # (conjugator g_i, relator r_i)
-    threshold: int
 
 
 @dataclass
@@ -139,9 +130,7 @@ def _loop_vertices(ball: BallIndex, loop: Loop) -> list[int]:
 class SplitResult:
     children: tuple[Loop, Loop, Loop]
     conjugators: tuple[Word, Word, Word]  # relative to the parent base
-    t: tuple
     offsets: tuple[int, int]
-    pqr: tuple[Word, Word, Word]
 
 
 def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
@@ -189,8 +178,7 @@ def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
         if len(child.word) >= n:
             raise ContractionError(child)
         children.append(child)
-    t_elem = ball.elements[tid]
-    return SplitResult(tuple(children), conjs, t_elem, (n1, n2), (p, q, r))
+    return SplitResult(tuple(children), conjs, (n1, n2))
 
 
 def fill_ball_radius(group: Group, w: Word, threshold: int) -> int:
@@ -214,7 +202,7 @@ def _fill_once(ball: BallIndex, loop: Loop, threshold: int,
     if len(loop.word) <= threshold:
         return SubdivisionNode(loop), depth, 1, len(loop.word)
     split = split_loop(ball, loop)
-    node = SubdivisionNode(loop, split.offsets, split.t, split.pqr)
+    node = SubdivisionNode(loop, split.conjugators)
     max_d, leaves, max_len = depth, 0, 0
     for child in split.children:
         sub, d, l, m = _fill_once(ball, child, threshold, depth + 1)
@@ -277,10 +265,7 @@ def to_conjugate_product(ball: BallIndex, tree: SubdivisionTree,
         if node.is_leaf:
             factors.append((free_reduce(alphabet, prefix), node.loop.word))
             return
-        p, q, r = node.pqr
-        pi, qi = invert(alphabet, p), invert(alphabet, q)
-        local = ((), concat(r, pi), concat(r, qi))
-        for child, conj in zip(node.children, local):
+        for child, conj in zip(node.children, node.conjugators):
             walk(child, concat(prefix, conj))
 
     walk(tree.root, ())
@@ -290,7 +275,7 @@ def to_conjugate_product(ball: BallIndex, tree: SubdivisionTree,
     w = tree.root.loop.word
     if free_reduce(alphabet, tuple(product)) != free_reduce(alphabet, w):
         raise InternalError("conjugate product failed free-reduction check")
-    return ConjugateProduct(w, factors, tree.threshold)
+    return ConjugateProduct(factors)
 
 
 def random_identity_word(group: Group, n: int, seed,

@@ -166,6 +166,26 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta", "--group", "nope", "--radius", "3"],   # input error
+    ["delta", "--radius", "3"],                      # usage error
+])
+def test_error_exits_report_duration(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "duration_s=" in err
+
+
+def test_fill_non_identity_word_is_an_input_error(capsys):
+    # the word is checked before any ball is built; an F2 ball at the
+    # radius this word would need exceeds the vertex cap
+    code, out, err = run(capsys, "fill", "--group", "f2", "--word",
+                         "a,b,a,b^,a^,b,b^,b^,a,b,a^,b^,a^")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
 def test_parse_lengths():
     assert parse_lengths("16..48..8") == [16, 24, 32, 40, 48]
     assert parse_lengths("4..6") == [4, 5, 6]

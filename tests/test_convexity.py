@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cayleylab.ball import build_ball
-from cayleylab.convexity import (INFINITE, ac_constant, inside_ball_path,
-                                 verify_theorem1)
-from cayleylab.errors import InputError
+from cayleylab.convexity import INFINITE, ac_constant, verify_theorem1
 from cayleylab.groups import get_group
 
 from oracles import heisenberg_ac_constants
@@ -47,10 +45,8 @@ def test_sphere_pairs_computed_once(z2ball, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(z2ball, "sphere_pairs", counting)
-    for threads in (1, 4):
-        calls.clear()
-        ac_constant(z2ball, 5, threads=threads)
-        assert calls == [5]
+    ac_constant(z2ball, 5)
+    assert calls == [5]
 
 
 def test_z2_std_constants_small(z2ball):
@@ -64,8 +60,7 @@ def test_inside_ball_path_validity(z2ball):
     group = z2ball.group
     for n in (2, 4):
         for u, v in z2ball.sphere_pairs(n):
-            w = inside_ball_path(z2ball, u, v, n)
-            assert w is not None
+            w = z2ball._inball_path(u, v, n)
             # walk the word, checking every vertex stays inside B(n)
             cur = u
             for gen in w:
@@ -75,30 +70,12 @@ def test_inside_ball_path_validity(z2ball):
             assert len(w) <= 2 * n  # any inside-ball detour fits in B(n)
 
 
-def test_inside_ball_path_rejects_bad_input(z2ball):
-    u = z2ball.index[(2, 0)]
-    v = z2ball.index[(0, 2)]
-    with pytest.raises(InputError):
-        inside_ball_path(z2ball, u, v, 2)  # distance 4, too far apart
-    with pytest.raises(InputError):
-        inside_ball_path(z2ball, u, z2ball.index[(0, 3)], 2)
-
-
 def test_worst_pair_attains_constant(z2ball):
     rep = ac_constant(z2ball, 5)
     u = z2ball.index[rep.worst_pair[0]]
     v = z2ball.index[rep.worst_pair[1]]
-    w = inside_ball_path(z2ball, u, v, 5)
+    w = z2ball._inball_path(u, v, 5)
     assert len(w) == rep.c_n
-
-
-def test_thread_count_invariance(z2ball):
-    for n in (3, 5):
-        one = ac_constant(z2ball, n, threads=1)
-        four = ac_constant(z2ball, n, threads=4)
-        assert one.c_n == four.c_n
-        assert one.worst_pair == four.worst_pair
-        assert one.pairs_examined == four.pairs_examined
 
 
 def test_verify_theorem1_f2(f2ball):

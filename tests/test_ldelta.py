@@ -307,15 +307,6 @@ def test_delta_nondecreasing_in_radius(z2ball):
     assert vals == sorted(vals)
 
 
-def test_estimate_thread_count_invariance(z2ball):
-    kw = dict(domain="half", sampling="sampled", samples=4000, seed=0)
-    one = estimate_delta(z2ball, 5, threads=1, **kw)
-    four = estimate_delta(z2ball, 5, threads=4, **kw)
-    assert one.value == four.value
-    assert one.witness == four.witness
-    assert one.witness_median == four.witness_median
-
-
 def _as_oracle(est):
     return est.value, est.witness, est.witness_median, est.triples_examined
 

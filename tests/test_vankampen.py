@@ -9,11 +9,10 @@ from cayleylab.ball import build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
 from cayleylab.vankampen import (SUBCUBIC_EXPONENT, ContractionError, Loop,
-                                 adaptive, canonical_identity_word,
-                                 default_threshold, dehn_scan, fill,
-                                 fill_ball_radius, fixed, random_identity_word,
-                                 split_loop, to_conjugate_product,
-                                 trisection_cells)
+                                 adaptive, canonical_identity_word, dehn_scan,
+                                 fill, fill_ball_radius, fixed,
+                                 random_identity_word, split_loop,
+                                 to_conjugate_product, trisection_cells)
 from cayleylab.words import concat, free_reduce, invert
 
 
@@ -129,12 +128,6 @@ def test_fill_adaptive_policy_always_terminates(z2, z2ball):
     tree = fill(z2ball, commutator(z2, 4), adaptive(1))
     assert tree.threshold >= 2
     assert tree.max_leaf_length <= tree.threshold
-
-
-def test_default_threshold():
-    assert default_threshold(0) == 4
-    assert default_threshold(Fraction(1)) == 5
-    assert default_threshold(Fraction(3, 2)) == 7
 
 
 # -- conjugate product ------------------------------------------------------
