@@ -11,14 +11,19 @@ of vertices below norm r agree, and only the outer shell's rows differ,
 keeping just in-ball ids.  build_ball(..., source=b) uses this to grow a
 ball by resuming the BFS of a smaller one.
 
+The ball is connected: each vertex joins the identity along its BFS-tree
+edge, and a group's edges go both ways (RewritingGroup checks definition
+files for confluence, so they define groups too).  So every search inside
+the ball reaches its target.
+
 Vertex-to-vertex distances use translation invariance: d(u, v) is the
 word norm of u^-1 v, a single table lookup.  This is the exact word
 metric whenever u^-1 v lies in the ball; when it does not, we fall back
 to a cached breadth-first search inside the ball, which can only
-overestimate.  Callers that need exactness keep their query points within
-the documented radius margins.  Lookups are not cached here beyond the
-inverses and BFS rows: the median search in ldelta caches repeated
-distances in its own distance rows.
+overestimate.  The margins of recommended_ball_radius and
+fill_ball_radius rule the fallback out for the points their callers
+query.  Lookups are not cached here beyond the inverses and BFS rows: the
+median search in ldelta caches repeated distances in its own rows.
 
 Distances may take half-integer values: the geometric realization admits
 edge midpoints ("half-edge points").  A point's ends are its vertex, or
@@ -186,11 +191,9 @@ class BallIndex:
             self._inverse_cache[vid] = e
         return e
 
-    def vertex_distance(self, u: int, v: int) -> int | None:
-        """Exact word distance when determinable, else in-ball BFS distance.
-
-        Returns None when neither route resolves within the ball.
-        """
+    def vertex_distance(self, u: int, v: int) -> int:
+        """Exact word distance when u^-1 v lies in the ball, else the
+        in-ball BFS distance."""
         if u == v:
             return 0
         diff = self.group.multiply(self._inv_element(u), self.elements[v])
@@ -200,8 +203,7 @@ class BallIndex:
         vid = self.index.get(diff)
         if vid is not None:
             return self.dist[vid]
-        row = self._bfs_from(u)
-        return row[v] if row[v] >= 0 else None
+        return self._bfs_from(u)[v]
 
     def _bfs_from(self, source: int) -> list[int]:
         row = self._bfs_cache.get(source)
@@ -246,31 +248,23 @@ class BallIndex:
     def distance(self, p: Point, q: Point) -> Fraction:
         self.check_point(p)
         self.check_point(q)
-        d = self.try_distance(p, q)
-        if d is None:
-            raise ResourceError(
-                "distance not determinable inside this ball; increase the radius"
-            )
-        return d
+        return self.try_distance(p, q)
 
-    def try_distance(self, p: Point, q: Point) -> Fraction | None:
+    def try_distance(self, p: Point, q: Point) -> Fraction:
+        """distance(p, q) without checking the points."""
         if p == q:
             return Fraction(0)
-        ends = self._nearest_ends(p, q)
-        return None if ends is None else ends[0]
+        return self._nearest_ends(p, q)[0]
 
-    def _nearest_ends(self, p: Point,
-                      q: Point) -> tuple[Fraction, int, int] | None:
+    def _nearest_ends(self, p: Point, q: Point) -> tuple[Fraction, int, int]:
         """(distance, e, f) through the first nearest pair of ends e of p
-        and f of q, for distinct points; None when no end pair resolves."""
+        and f of q, for distinct points."""
         best = None
         for e in ((p.a,) if p.kind == VERTEX else (p.a, p.b)):
             for f in ((q.a,) if q.kind == VERTEX else (q.a, q.b)):
                 d = self.vertex_distance(e, f)
-                if d is not None and (best is None or d < best[0]):
+                if best is None or d < best[0]:
                     best = (d, e, f)
-        if best is None:
-            return None
         d, e, f = best
         return HALF_STEP * ((p.kind == HALF) + (q.kind == HALF)) + d, e, f
 
@@ -309,7 +303,8 @@ class BallIndex:
         return w
 
     def _inball_path(self, u: int, v: int, max_norm: int | None) -> Word:
-        """Shortest path word inside the ball, optionally norm-restricted."""
+        """Shortest path word inside the ball, optionally through norms at
+        most max_norm only; B_max_norm is connected, so one exists."""
         if u == v:
             return ()
         prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
@@ -324,8 +319,6 @@ class BallIndex:
                         prev[b] = (a, gen)
                         nxt.append(b)
             frontier = nxt
-        if v not in prev:
-            raise InputError("no path inside the ball")
         letters: list[int] = []
         cur = v
         while cur != u:
@@ -340,10 +333,7 @@ class BallIndex:
         self.check_point(q)
         if p == q:
             return GeodesicPath(p.a, q.a, (), Fraction(0))
-        ends = self._nearest_ends(p, q)
-        if ends is None:
-            raise ResourceError("geodesic not determinable inside this ball")
-        total, e, f = ends
+        total, e, f = self._nearest_ends(p, q)
         return GeodesicPath(e, f, self.vertex_geodesic_word(e, f), total)
 
     # -- sphere structure --------------------------------------------------

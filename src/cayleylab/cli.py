@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from .ball import VERTEX, BallIndex, Point, build_ball
-from .convexity import INFINITE, verify_theorem1
+from .convexity import verify_theorem1
 from .errors import InputError, InternalError, ResourceError
 from .groups import get_group
 from .ldelta import estimate_delta, median, recommended_ball_radius
@@ -151,9 +151,8 @@ def cmd_ac(args) -> int:
     reports = verify_theorem1(ball, args.nmax, delta_hat)
     lines = ["n,pairs,C_n,bound,pass"]
     for rep in reports:
-        c = "inf" if rep.c_n == INFINITE else str(rep.c_n)
-        lines.append(f"{rep.n},{rep.pairs_examined},{c},{frac(rep.bound)},"
-                     f"{str(rep.passed).lower()}")
+        lines.append(f"{rep.n},{rep.pairs_examined},{rep.c_n},"
+                     f"{frac(rep.bound)},{str(rep.passed).lower()}")
     emit(lines)
     return 0
 

@@ -2,9 +2,8 @@
 
 For each sphere radius n, C_n is the longest connecting path needed
 between norm-n vertices at word distance at most 2, where the path must
-stay inside the closed ball of radius n.  The ball is connected through
-its BFS tree, so no pair is disconnected; the INFINITE marker remains as
-a defensive value that fails the bound check.
+stay inside the closed ball of radius n.  That ball is connected through
+its BFS tree, so every pair has such a path.
 
 The theorem's bound is checked against an estimated delta, which is a
 lower bound for the true constant; a failed comparison therefore flags an
@@ -16,16 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ball import BallIndex
-from .errors import InputError
-
-INFINITE = -1  # marker for "no inside-ball path"
 
 
 @dataclass
 class ACReport:
     n: int
     pairs_examined: int
-    c_n: int                       # max path length, INFINITE if disconnected
+    c_n: int                       # max path length
     worst_pair: tuple | None       # canonical element forms
     bound: Fraction | None         # 3*delta_hat + 2
     passed: bool | None
@@ -42,20 +38,12 @@ def ac_constant(ball: BallIndex, n: int,
     c_n = 0
     worst = None
     for u, v in pairs:
-        try:
-            length = len(ball._inball_path(u, v, n))
-        except InputError:  # unreachable: B_n is connected via the BFS tree
-            length = INFINITE
+        length = len(ball._inball_path(u, v, n))
         pair = tuple(sorted((ball.elements[u], ball.elements[v])))
-        key = (length == INFINITE, length)
-        best_key = (c_n == INFINITE, c_n)
-        if key > best_key or (key == best_key and
-                              (worst is None or pair < worst)):
+        if length > c_n or (length == c_n and (worst is None or pair < worst)):
             c_n = length
             worst = pair
-    passed = None
-    if bound is not None:
-        passed = c_n != INFINITE and c_n <= bound
+    passed = None if bound is None else c_n <= bound
     return ACReport(n, len(pairs), c_n, worst, bound, passed)
 
 

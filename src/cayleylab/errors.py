@@ -16,8 +16,7 @@ class InputError(CayleyLabError):
 
 
 class ResourceError(CayleyLabError):
-    """A resource cap was hit, or a value is not determinable inside the
-    ball at hand."""
+    """A resource cap was hit, or a loop leaves the ball at hand."""
 
 
 class InternalError(CayleyLabError):

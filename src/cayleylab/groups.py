@@ -12,7 +12,8 @@ import operator
 import os
 
 from .errors import InputError
-from .rewriting import RewritingSystem, parse_group_file
+from .rewriting import (RewritingSystem, check_local_confluence,
+                        parse_group_file)
 from .words import Alphabet, Word, free_reduce, invert
 
 Element = tuple
@@ -159,9 +160,15 @@ class HeisenbergGroup(Group):
 
 
 class RewritingGroup(Group):
-    """A group presented by a confluent shortlex rewriting system."""
+    """A group presented by a shortlex rewriting system, which must be
+    confluent so that normal forms are canonical; checked on construction."""
 
     def __init__(self, name: str, rs: RewritingSystem):
+        pairs = check_local_confluence(rs)
+        if pairs:
+            raise InputError(f"rewriting system {name!r} is not confluent "
+                             f"({len(pairs)} unresolved critical pairs; "
+                             "see check-confluence)")
         self.name = name
         self.rs = rs
         self.alphabet = rs.alphabet

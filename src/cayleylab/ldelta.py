@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ball import HALF, VERTEX, BallIndex, Point
-from .errors import InputError, ResourceError
+from .errors import InputError
 
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 7
 DEFAULT_FORCED_SAMPLES = 100_000
@@ -78,8 +78,8 @@ class DeltaEstimate:
 
 
 class _Row(dict):
-    """Twice the distance from vertex u to each vertex id, None if
-    undeterminable, computed by ball.vertex_distance on first use."""
+    """Twice the distance from vertex u to each vertex id, computed by
+    ball.vertex_distance on first use."""
 
     __slots__ = ("ball", "u", "held")
 
@@ -87,26 +87,16 @@ class _Row(dict):
         super().__init__()
         self.ball, self.u, self.held = ball, u, held
 
-    def __missing__(self, v: int) -> int | None:
-        d = self.ball.vertex_distance(self.u, v)
-        d2 = self[v] = None if d is None else 2 * d
+    def __missing__(self, v: int) -> int:
+        d2 = self[v] = 2 * self.ball.vertex_distance(self.u, v)
         self.held[0] += 1
         return d2
 
 
-def _half_step(du: int | None, dv: int | None) -> int | None:
-    """Doubled distance to the midpoint of an edge from the doubled
-    distances to its ends: one more than the smaller known one."""
-    if du is None:
-        return None if dv is None else dv + 1
-    if dv is not None and dv < du:
-        du = dv
-    return du + 1
-
-
 class _MidRow(dict):
     """Twice the distance from the midpoint of edge (a, b) to each vertex
-    id, read from the rows of a and b on first use."""
+    id, read from the rows of a and b on first use: one half step more
+    than the nearer end."""
 
     __slots__ = ("ra", "rb")
 
@@ -114,8 +104,9 @@ class _MidRow(dict):
         super().__init__()
         self.ra, self.rb = ra, rb
 
-    def __missing__(self, tid: int) -> int | None:
-        d2 = self[tid] = _half_step(self.ra[tid], self.rb[tid])
+    def __missing__(self, tid: int) -> int:
+        du, dv = self.ra[tid], self.rb[tid]
+        d2 = self[tid] = (du if du < dv else dv) + 1
         self.ra.held[0] += 1
         return d2
 
@@ -134,7 +125,7 @@ class DistanceRows(dict):
         self.ball = ball
         self.held = [0]
         self.mid_rows: dict[tuple[int, int], _MidRow] = {}
-        self.walks: dict[tuple[Point, Point], tuple[int, ...] | None] = {}
+        self.walks: dict[tuple[Point, Point], tuple[int, ...]] = {}
 
     def __missing__(self, u: int) -> _Row:
         row = self[u] = _Row(self.ball, u, self.held)
@@ -149,17 +140,13 @@ class DistanceRows(dict):
             row = self.mid_rows[key] = _MidRow(self[p.a], self[p.b])
         return row
 
-    def walk(self, p: Point, q: Point) -> tuple[int, ...] | None:
+    def walk(self, p: Point, q: Point) -> tuple[int, ...]:
         """Vertex ids along ball.geodesic(p, q), which stays inside the
-        ball; None when the geodesic is not determinable."""
+        ball."""
         key = (p, q)
         if key not in self.walks:
             self.held[0] += 1
-            try:
-                path = self.ball.geodesic(p, q)
-            except ResourceError:
-                self.walks[key] = None
-                return None
+            path = self.ball.geodesic(p, q)
             adj = self.ball.adj
             ids = [path.start_vertex]
             for gen in path.word:
@@ -168,14 +155,15 @@ class DistanceRows(dict):
         return self.walks[key]
 
 
-def _d2(p: Point, p_row, q: Point, q_row) -> int | None:
+def _d2(p: Point, p_row, q: Point, q_row) -> int:
     """Twice ball.try_distance(p, q) for distinct points, read like it
     from the vertex's side when one point is a vertex."""
     if p.kind == HALF and q.kind == VERTEX:
         p, p_row, q = q, q_row, p
     if q.kind == VERTEX:
         return p_row[q.a]
-    return _half_step(p_row[q.a], p_row[q.b])
+    du, dv = p_row[q.a], p_row[q.b]
+    return (du if du < dv else dv) + 1
 
 
 def slack(ball: BallIndex, t: Point, x: Point, y: Point, z: Point) -> Fraction:
@@ -206,18 +194,11 @@ class _MedianSearch:
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
-        if None in (self.dxy2, self.dyz2, self.dzx2):
-            raise ResourceError("triple distances not determinable in this ball")
         self.best_key: tuple | None = None
         self.seen_mids: set[tuple[int, int]] = set()
 
     def consider_vertex(self, tid: int) -> None:
-        dx = self.xr[tid]
-        dy = self.yr[tid]
-        dz = self.zr[tid]
-        if dx is None or dy is None or dz is None:
-            return
-        self._offer(VERTEX, tid, -1, dx, dy, dz)
+        self._offer(VERTEX, tid, -1, self.xr[tid], self.yr[tid], self.zr[tid])
 
     def consider_mid(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
@@ -229,10 +210,8 @@ class _MedianSearch:
             if p.kind == HALF and key == (p.a, p.b):
                 ds.append(0)
                 continue
-            d = _half_step(row[u], row[v])
-            if d is None:
-                return
-            ds.append(d)
+            du, dv = row[u], row[v]
+            ds.append((du if du < dv else dv) + 1)
         self._offer(HALF, key[0], key[1], *ds)
 
     def _offer(self, kind: int, a: int, b: int,
@@ -266,8 +245,6 @@ class _MedianSearch:
                 return True
         for a, b in ((self.x, self.y), (self.y, self.z), (self.z, self.x)):
             walk = self.rows.walk(a, b)
-            if walk is None:
-                continue
             cur = walk[0]
             self.consider_vertex(cur)
             for nxt in walk[1:]:
@@ -281,9 +258,7 @@ class _MedianSearch:
                 return True
         return False
 
-    def _result(self) -> MedianResult | None:
-        if self.best_key is None:
-            return None
+    def _result(self) -> MedianResult:
         s, dx, dy, kind, a, b = self.best_key
         dz = self._best_dz
         half = Fraction(1, 2)
@@ -297,6 +272,7 @@ class _MedianSearch:
         ball = self.ball
         if self.seed(cap2):
             return None
+        # every seed walk offered a vertex, so best_key is set from here on
         anchor = self.x.a
         anchor_elem = ball.elements[anchor]
         mult = ball.group.multiply
@@ -306,7 +282,7 @@ class _MedianSearch:
         xr = self.xr if self.x.kind == VERTEX else None
         m = 0
         while m <= ball.radius:
-            if prune and self.best_key is not None:
+            if prune:
                 # any improver satisfies 2 d(x,t) <= min(dxy2 + slack2, best dx2),
                 # and shell-m candidates all have 2 d(x,t) >= 2(m-1)
                 bound2 = min(self.dxy2 + self.best_key[0] // 2,
@@ -458,7 +434,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     for i, j, k in triple_iter:
         dxy, dyz, dzx = pair2(i, j), pair2(j, k), pair2(k, i)
         # slack at t = x is max(0, dxy + dzx - dyz), and so on
-        if cap2 >= 0 and None not in (dxy, dyz, dzx) and \
+        if cap2 >= 0 and \
                 min(dxy + dzx - dyz, dxy + dyz - dzx, dyz + dzx - dxy) <= cap2:
             continue
         if key is not None:

@@ -130,7 +130,6 @@ def _loop_vertices(ball: BallIndex, loop: Loop) -> list[int]:
 class SplitResult:
     children: tuple[Loop, Loop, Loop]
     conjugators: tuple[Word, Word, Word]  # relative to the parent base
-    offsets: tuple[int, int]
 
 
 def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
@@ -151,11 +150,8 @@ def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
     zid, xid, yid = ids[0], ids[n1], ids[n2]
     distinct = {zid, xid, yid}
     if len(distinct) == 3:
-        med = median(ball, Point.vertex(xid), Point.vertex(yid),
-                     Point.vertex(zid), t_halves=False)
-        if med is None:
-            raise ResourceError("median search failed inside this ball")
-        tid = med.t.a
+        tid = median(ball, Point.vertex(xid), Point.vertex(yid),
+                     Point.vertex(zid), t_halves=False).t.a
     else:
         # a repeated marked vertex is already a perfect meeting point
         tid = xid if xid in (yid, zid) else yid
@@ -178,7 +174,7 @@ def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
         if len(child.word) >= n:
             raise ContractionError(child)
         children.append(child)
-    return SplitResult(tuple(children), conjs, (n1, n2))
+    return SplitResult(tuple(children), conjs)
 
 
 def fill_ball_radius(group: Group, w: Word, threshold: int) -> int:

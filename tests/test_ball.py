@@ -59,7 +59,8 @@ def test_bfs_layer_equals_geodesic_word_length(name):
 ])
 def test_adjacency_and_bfs_tree_match_group(name, radius):
     """Every row, outer shell included, is the in-ball image under apply,
-    and each parent edge steps exactly one layer down."""
+    each parent edge steps exactly one layer down, and every in-ball edge
+    goes both ways, which makes the ball connected from every vertex."""
     if name == "z2-rules":
         group = RewritingGroup(name, parse_group_file(Z2_RULES_TEXT)[1])
     else:
@@ -69,6 +70,9 @@ def test_adjacency_and_bfs_tree_match_group(name, radius):
     for v, e in enumerate(ball.elements):
         assert ball.adj[v] == [ball.index.get(group.apply(e, g), -1)
                                for g in range(len(group.alphabet))]
+        for g, w in enumerate(ball.adj[v]):
+            if w >= 0:
+                assert ball.adj[w][group.alphabet.inverse(g)] == v
         if v:
             parent = ball.adj[v][group.alphabet.inverse(ball.parent_gen[v])]
             assert ball.dist[v] == ball.dist[parent] + 1

@@ -4,6 +4,7 @@ import pytest
 
 from cayleylab.cli import main, parse_lengths
 from cayleylab.errors import InputError
+from test_groups import NON_CONFLUENT_RULES
 
 # same 8-rule system as in test_rewriting
 Z2_RULES = """\
@@ -139,6 +140,25 @@ def test_check_confluence_fail(tmp_path, capsys):
     code, out, _ = run(capsys, "check-confluence", "--file", str(path))
     assert code == 1
     assert "locally_confluent=false" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--radius", "2"],
+    ["delta", "--radius", "2", "--domain", "vertices", "--exhaustive"],
+    ["median", "--radius", "2", "--x", "1", "--y", "a", "--z", "b"],
+    ["ac", "--radius", "3", "--nmax", "2"],
+    ["fill", "--word", "a,b,a^,b^"],
+    ["dehn-scan", "--lengths", "8", "--samples", "1"],
+])
+def test_non_confluent_group_file_is_an_input_error(argv, tmp_path, capsys):
+    # b b b^ rewrites to b b here, so the edge from b to b b has no way
+    # back, and a walk back along the BFS tree would never reach 1
+    path = tmp_path / "bad.grp"
+    path.write_text(NON_CONFLUENT_RULES)
+    code, out, err = run(capsys, argv[0], "--group", str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
 
 
 def test_input_error_exit_code(capsys):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cayleylab.errors import InputError
-from cayleylab.groups import get_group
+from cayleylab.groups import RewritingGroup, get_group
+from cayleylab.rewriting import parse_group_file
 
 FAMILIES = ["z2-std", "z2-abc", "f2", "heisenberg"]
 
@@ -88,3 +89,18 @@ def test_inverse_and_identity(name):
 def test_unknown_selector():
     with pytest.raises(InputError):
         get_group("no-such-group")
+
+
+# parses, but a a^ a has normal forms 1 and a, and b b b^ has b b and b
+NON_CONFLUENT_RULES = """\
+generators: a b
+order: a a^ b b^
+a a^ -> a^
+b b b^ -> b b
+"""
+
+
+def test_non_confluent_system_is_rejected():
+    _, rs = parse_group_file(NON_CONFLUENT_RULES)
+    with pytest.raises(InputError, match="not confluent"):
+        RewritingGroup("bad", rs)
