@@ -19,6 +19,15 @@ bounds.  Ties are broken by smaller d(t, x), then smaller d(t, y), then
 vertices before midpoints, then smallest vertex id, which makes the
 result independent of scan order.
 
+A midpoint of an edge at a vertex u lies half a step from u, so each of
+its doubled distances to x, y, z is at least u's minus 1, and its doubled
+slack at least u's minus 2.  The scan and the seed walks skip the
+midpoints at u when that bound exceeds the best slack: such a midpoint
+can neither win nor trigger the cap.  The bound needs u's three distances
+exact.  A doubled distance of at most 2 * ball.radius is, since the
+in-ball BFS fallback only runs beyond the radius; elsewhere the skip is
+off, so undersized balls give the same result as without it.
+
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
@@ -45,7 +54,7 @@ so far.  Two skips leave its output that of one search per triple:
 """
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,11 +203,21 @@ class _MedianSearch:
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
-        self.best_key: tuple | None = None
+        self.r2 = 2 * ball.radius
+        self.best_key: tuple = (math.inf,)  # above every key
         self.seen_mids: set[tuple[int, int]] = set()
 
-    def consider_vertex(self, tid: int) -> None:
-        self._offer(VERTEX, tid, -1, self.xr[tid], self.yr[tid], self.zr[tid])
+    def consider_vertex(self, tid: int) -> int:
+        """Offer vertex tid and return its doubled slack."""
+        return self._offer(VERTEX, tid, -1,
+                           self.xr[tid], self.yr[tid], self.zr[tid])
+
+    def mids_lose(self, u: int, s: int) -> bool:
+        """True when no midpoint of an edge at vertex u, offered at
+        doubled slack s, can take the best key (module docstring)."""
+        r2 = self.r2
+        return s - 2 > self.best_key[0] and self.xr[u] <= r2 \
+            and self.yr[u] <= r2 and self.zr[u] <= r2
 
     def consider_mid(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
@@ -215,7 +234,7 @@ class _MedianSearch:
         self._offer(HALF, key[0], key[1], *ds)
 
     def _offer(self, kind: int, a: int, b: int,
-               dx: int, dy: int, dz: int) -> None:
+               dx: int, dy: int, dz: int) -> int:
         s = dx + dy - self.dxy2
         s2 = dy + dz - self.dyz2
         if s2 > s:
@@ -223,14 +242,16 @@ class _MedianSearch:
         s2 = dz + dx - self.dzx2
         if s2 > s:
             s = s2
+        if s > self.best_key[0]:
+            return s
         key = (s, dx, dy, kind, a, b)
-        if self.best_key is None or key < self.best_key:
+        if key < self.best_key:
             self.best_key = key
             self._best_dz = dz
+        return s
 
     def _aborted(self, cap2: int | None) -> bool:
-        return cap2 is not None and self.best_key is not None \
-            and self.best_key[0] <= cap2
+        return cap2 is not None and self.best_key[0] <= cap2
 
     def seed(self, cap2: int | None) -> bool:
         """Evaluate the triple's own points and the points along one
@@ -246,11 +267,11 @@ class _MedianSearch:
         for a, b in ((self.x, self.y), (self.y, self.z), (self.z, self.x)):
             walk = self.rows.walk(a, b)
             cur = walk[0]
-            self.consider_vertex(cur)
+            s = self.consider_vertex(cur)
             for nxt in walk[1:]:
-                if self.t_halves:
+                if self.t_halves and not self.mids_lose(cur, s):
                     self.consider_mid(cur, nxt)
-                self.consider_vertex(nxt)
+                s = self.consider_vertex(nxt)
                 cur = nxt
                 if self._aborted(cap2):
                     return True
@@ -272,7 +293,6 @@ class _MedianSearch:
         ball = self.ball
         if self.seed(cap2):
             return None
-        # every seed walk offered a vertex, so best_key is set from here on
         anchor = self.x.a
         anchor_elem = ball.elements[anchor]
         mult = ball.group.multiply
@@ -296,8 +316,8 @@ class _MedianSearch:
                 if xr is not None and tid not in xr:
                     xr[tid] = 2 * m
                     xr.held[0] += 1
-                self.consider_vertex(tid)
-                if self.t_halves:
+                s = self.consider_vertex(tid)
+                if self.t_halves and not self.mids_lose(tid, s):
                     for w in ball.adj[tid]:
                         if w >= 0:
                             self.consider_mid(tid, w)
@@ -325,7 +345,10 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
         if len({x, y, z}) != 3:
             raise InputError("median needs three distinct points")
         _rows = DistanceRows(ball)
-    cap2 = None if cap is None else int(2 * cap)
+    cap2 = None
+    if cap is not None:  # int(2 * cap), without a Fraction product
+        n2, d = 2 * cap.numerator, cap.denominator
+        cap2 = n2 // d if n2 >= 0 else -(-n2 // d)
     return _MedianSearch(ball, _rows, x, y, z, t_halves).run(cap2, prune)
 
 
@@ -372,9 +395,18 @@ def _translation_key(ball: BallIndex, points: list[Point]):
         return None
 
     def key(i, j, k):
-        return min((du[v], du[w]) if du[v] < du[w] else (du[w], du[v])
-                   for du, v, w in ((diff[i], j, k), (diff[j], k, i),
-                                    (diff[k], i, j)))
+        du = diff[i]
+        a, b = du[j], du[k]
+        best = (a, b) if a < b else (b, a)
+        du = diff[j]
+        a, b = du[k], du[i]
+        view = (a, b) if a < b else (b, a)
+        if view < best:
+            best = view
+        du = diff[k]
+        a, b = du[i], du[j]
+        view = (a, b) if a < b else (b, a)
+        return view if view < best else best
     return key
 
 
@@ -402,52 +434,62 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     # the domain points are distinct and in the ball, so the triples skip
     # median()'s checks and share one cache
     rows = DistanceRows(ball)
-
-    def pair2(i, j):  # twice the distance, read as the search reads it
-        p, q = points[i], points[j]
-        return _d2(p, rows.point_row(p), q, rows.point_row(q))
-
     key = None
-    if sampling == "exhaustive":
-        triple_iter = itertools.combinations(range(n), 3)
-        total = n * (n - 1) * (n - 2) // 6
-        table = [[pair2(i, j) for j in range(n)] for i in range(n)]
-
-        def pair2(i, j):
-            return table[i][j]
-        # below the margin, truncated distances break translation invariance
-        if domain == "vertices" and \
-                ball.radius >= recommended_ball_radius(ball.group, radius):
-            key = _translation_key(ball, points)
-    elif sampling == "sampled":
-        if n < 3:
-            raise InputError("domain has fewer than three points")
-        rng = random.Random(seed)
-        triple_iter = (tuple(rng.sample(range(n), 3))
-                       for _ in range(samples))
-        total = samples
-    else:
-        raise InputError(f"unknown sampling mode {sampling!r}")
-
     seen: set = set()
-    cap, cap2, best = Fraction(-1), -2, None  # below any slack
-    for i, j, k in triple_iter:
-        dxy, dyz, dzx = pair2(i, j), pair2(j, k), pair2(k, i)
-        # slack at t = x is max(0, dxy + dzx - dyz), and so on
-        if cap2 >= 0 and \
-                min(dxy + dzx - dyz, dxy + dyz - dzx, dyz + dzx - dxy) <= cap2:
-            continue
+    # cap is the largest slack so far; a triple with some t = p of doubled
+    # slack at most cap2 is skipped, which is off while cap is negative
+    cap, cap2, best = Fraction(-1), -math.inf, None
+
+    def search(i, j, k):  # a triple past the pre-filter
+        nonlocal rows, cap, cap2, best
         if key is not None:
             c = key(i, j, k)
             if c in seen:
-                continue
+                return
             seen.add(c)
         if rows.held[0] > _CACHE_ENTRIES:
             rows = DistanceRows(ball)
         x, y, z = points[i], points[j], points[k]
         med = median(ball, x, y, z, cap=cap, _rows=rows)
         if med is not None and med.slack > cap:
-            cap, cap2, best = med.slack, int(2 * med.slack), ((x, y, z), med)
+            cap, best = med.slack, ((x, y, z), med)
+            if cap >= 0:
+                cap2 = int(2 * cap)
+
+    def pair2(i, j):  # twice the distance, read as the search reads it
+        p, q = points[i], points[j]
+        return _d2(p, rows.point_row(p), q, rows.point_row(q))
+
+    # slack at t = x is max(0, dxy + dzx - dyz), and so on
+    if sampling == "exhaustive":
+        total = n * (n - 1) * (n - 2) // 6
+        table = [[pair2(i, j) for j in range(n)] for i in range(n)]
+        # below the margin, truncated distances break translation invariance
+        if domain == "vertices" and \
+                ball.radius >= recommended_ball_radius(ball.group, radius):
+            key = _translation_key(ball, points)
+        for i in range(n):
+            ti = table[i]
+            for j in range(i + 1, n):
+                tj, dxy = table[j], ti[j]
+                for k in range(j + 1, n):
+                    dyz, dzx = tj[k], ti[k]
+                    if dxy + dzx - dyz > cap2 and dxy + dyz - dzx > cap2 \
+                            and dyz + dzx - dxy > cap2:
+                        search(i, j, k)
+    elif sampling == "sampled":
+        if n < 3:
+            raise InputError("domain has fewer than three points")
+        rng = random.Random(seed)
+        total = samples
+        for _ in range(samples):
+            i, j, k = rng.sample(range(n), 3)
+            dxy, dyz, dzx = pair2(i, j), pair2(j, k), pair2(k, i)
+            if dxy + dzx - dyz > cap2 and dxy + dyz - dzx > cap2 \
+                    and dyz + dzx - dxy > cap2:
+                search(i, j, k)
+    else:
+        raise InputError(f"unknown sampling mode {sampling!r}")
     witness, witness_median = best or (None, None)
     return DeltaEstimate(radius, domain, label, max(cap, Fraction(0)),
                          witness, witness_median, total)

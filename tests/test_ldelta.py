@@ -158,6 +158,53 @@ def test_median_pruning_soundness(name, radius):
 
 
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
+@pytest.mark.parametrize("undersized", [False, True])
+def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
+    # the search skips the midpoints at a vertex u whose slack is more
+    # than 1 above the best; that is sound where u's three distances are
+    # exact, which a distance of at most the ball radius is
+    group = get_group(name)
+    radius = 3 if undersized else recommended_ball_radius(group, 2)
+    ball = build_ball(group, radius)
+    pts = domain_points(ball, 2, "half")
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(20):
+        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+        for u in range(len(ball)):
+            t = Point.vertex(u)
+            if any(ball.distance(p, t) > radius for p in (x, y, z)):
+                continue
+            bound = slack(ball, t, x, y, z) - 1
+            for w in ball.adj[u]:
+                if w >= 0:
+                    assert slack(ball, Point.half(u, w), x, y, z) >= bound
+                    checked += 1
+    assert checked > 400
+
+
+def test_midpoint_skip_keeps_undersized_medians(monkeypatch):
+    # on an undersized Heisenberg ball some distances are in-ball BFS
+    # overestimates; a skip that trusted them changed the first two medians
+    group = get_group("heisenberg")
+    balls = {r: build_ball(group, r) for r in (3, 4)}
+    pts = {r: domain_points(balls[r], r, "half") for r in (3, 4)}
+    cases = [(3, (76, 83, 40), F(-1)), (4, (273, 85, 252), F(0))]
+    rng = random.Random(31)
+    cases += [(r, rng.sample(range(len(pts[r])), 3), rng.choice((None, F(0))))
+              for r in (3, 4) for _ in range(150)]
+
+    def medians():
+        return [median(balls[r], *(pts[r][i] for i in idx), cap=cap)
+                for r, idx, cap in cases]
+
+    skipping = medians()
+    monkeypatch.setattr(ldelta._MedianSearch, "mids_lose",
+                        lambda self, u, s: False)
+    assert medians() == skipping
+
+
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 def test_shared_chunk_cache_matches_fresh_median(name):
     # one cache serves a whole chunk of triples in estimate_delta; every
     # result must equal a search with a cache of its own
@@ -369,6 +416,22 @@ def test_exhaustive_delta_searches_one_triple_per_class(monkeypatch):
     assert est.triples_examined == 121_485
     # one search per triple made 121,485 calls; there are 10,055 classes
     assert calls[0] <= 5_000
+
+
+def test_exhaustive_delta_skips_midpoints_that_cannot_win(monkeypatch):
+    calls = [0]
+    consider_mid = ldelta._MedianSearch.consider_mid
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return consider_mid(self, u, v)
+
+    monkeypatch.setattr(ldelta._MedianSearch, "consider_mid", counted)
+    ball = build_ball(get_group("z2-abc"), 12)
+    est = estimate_delta(ball, 5, domain="vertices", sampling="exhaustive")
+    assert est.value == 3
+    # offering every midpoint at each scanned vertex made 100,354 calls
+    assert calls[0] <= 50_000
 
 
 def test_translation_classes_need_the_ball_margin(monkeypatch):
