@@ -16,14 +16,13 @@ edge, and a group's edges go both ways (RewritingGroup checks definition
 files for confluence, so they define groups too).  So every search inside
 the ball reaches its target.
 
-Vertex-to-vertex distances use translation invariance: d(u, v) is the
-word norm of u^-1 v, a single table lookup.  This is the exact word
-metric whenever u^-1 v lies in the ball; when it does not, we fall back
-to a cached breadth-first search inside the ball, which can only
-overestimate.  The margins of recommended_ball_radius and
-fill_ball_radius rule the fallback out for the points their callers
-query.  Lookups are not cached here beyond the inverses and BFS rows: the
-median search in ldelta caches repeated distances in its own rows.
+Vertex-to-vertex distances follow one rule: d(u, v) is the word norm of
+u^-1 v, a single table lookup, when the group knows that norm in closed
+form or u^-1 v lies in the ball, and FAR otherwise, never an in-ball
+estimate.  A candidate that reads FAR loses; callers that report a value
+build the margin their points need (ldelta.recommended_ball_radius,
+vankampen.fill_ball_radius).  Lookups are not cached here beyond the
+inverses: the median search in ldelta caches distances in its own rows.
 
 Distances may take half-integer values: the geometric realization admits
 edge midpoints ("half-edge points").  A point's ends are its vertex, or
@@ -45,6 +44,8 @@ VERTEX = 0
 HALF = 1
 
 HALF_STEP = Fraction(1, 2)
+
+FAR = 1 << 40  # beyond every distance in a ball; an int, like doubled rows
 
 
 @dataclass(frozen=True, order=True)
@@ -123,7 +124,6 @@ class BallIndex:
         self.shell_start = [bisect_left(self.dist, d) for d in range(radius + 2)]
 
         self._edges: list[tuple[int, int]] | None = None
-        self._bfs_cache: dict[int, list[int]] = {}
         self._inverse_cache: dict[int, Element] = {}
 
     def _expand(self, vid: int) -> None:
@@ -192,8 +192,8 @@ class BallIndex:
         return e
 
     def vertex_distance(self, u: int, v: int) -> int:
-        """Exact word distance when u^-1 v lies in the ball, else the
-        in-ball BFS distance."""
+        """The word norm of u^-1 v when the group knows it or it lies in
+        the ball, else FAR (module docstring)."""
         if u == v:
             return 0
         diff = self.group.multiply(self._inv_element(u), self.elements[v])
@@ -201,28 +201,7 @@ class BallIndex:
         if d is not None:
             return d
         vid = self.index.get(diff)
-        if vid is not None:
-            return self.dist[vid]
-        return self._bfs_from(u)[v]
-
-    def _bfs_from(self, source: int) -> list[int]:
-        row = self._bfs_cache.get(source)
-        if row is not None:
-            return row
-        row = [-1] * len(self.elements)
-        row[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                du = row[u]
-                for v in self.adj[u]:
-                    if v >= 0 and row[v] < 0:
-                        row[v] = du + 1
-                        nxt.append(v)
-            frontier = nxt
-        self._bfs_cache[source] = row
-        return row
+        return FAR if vid is None else self.dist[vid]
 
     # -- realization points ------------------------------------------------
 
@@ -286,45 +265,44 @@ class BallIndex:
         return tuple(reversed(letters))
 
     def vertex_geodesic_word(self, u: int, v: int) -> Word:
-        """A geodesic word from vertex u to vertex v, inside the ball."""
-        if u == v:
-            return ()
-        diff = self.group.multiply(self._inv_element(u), self.elements[v])
-        try:
-            w = self.word_to(diff)
-        except InputError:
-            return self._inball_path(u, v, None)
-        # accept the translated path only if it stays inside the ball
+        """word_to(u^-1 v), a geodesic word from vertex u to vertex v; an
+        input error when its path from u leaves the ball."""
+        w = self.word_to(self.group.multiply(self._inv_element(u),
+                                             self.elements[v]))
         cur = u
         for gen in w:
             cur = self.adj[cur][gen]
             if cur < 0:
-                return self._inball_path(u, v, None)
+                raise InputError("geodesic leaves the ball; build a larger one")
         return w
 
-    def _inball_path(self, u: int, v: int, max_norm: int | None) -> Word:
-        """Shortest path word inside the ball, optionally through norms at
-        most max_norm only; B_max_norm is connected, so one exists."""
-        if u == v:
-            return ()
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        frontier = [u]
-        while frontier and v not in prev:
+    def _bfs_from(self, source: int, target: int,
+                  max_norm: int) -> dict[int, tuple[int, int]]:
+        """Predecessor (vertex, generator) of each vertex reached by a
+        breadth-first search from source through norms at most max_norm,
+        stopping at the layer that reaches target."""
+        adj, dist = self.adj, self.dist
+        prev: dict[int, tuple[int, int]] = {source: (-1, -1)}
+        frontier = [source]
+        while frontier and target not in prev:
             nxt = []
             for a in frontier:
-                for gen, b in enumerate(self.adj[a]):
-                    if b >= 0 and b not in prev:
-                        if max_norm is not None and self.dist[b] > max_norm:
-                            continue
+                for gen, b in enumerate(adj[a]):
+                    if b >= 0 and b not in prev and dist[b] <= max_norm:
                         prev[b] = (a, gen)
                         nxt.append(b)
             frontier = nxt
+        return prev
+
+    def _inball_path(self, u: int, v: int, max_norm: int) -> Word:
+        """A shortest path word from u to v through norms at most
+        max_norm; B_max_norm is connected, so one exists."""
+        prev = self._bfs_from(u, v, max_norm)
         letters: list[int] = []
         cur = v
         while cur != u:
-            a, gen = prev[cur]
+            cur, gen = prev[cur]
             letters.append(gen)
-            cur = a
         return tuple(reversed(letters))
 
     def geodesic(self, p: Point, q: Point) -> GeodesicPath:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -123,6 +124,11 @@ def cmd_median(args) -> int:
     group = get_group(args.group)
     ball = build_ball(group, args.radius)
     x, y, z = (parse_point(ball, t) for t in (args.x, args.y, args.z))
+    # vertex ids are a BFS prefix, so the points keep theirs in the margin
+    norm = max(map(ball.point_norm, (x, y, z)))
+    need = recommended_ball_radius(group, math.ceil(norm))
+    if need > ball.radius:
+        ball = build_ball(group, need, source=ball)
     m = median(ball, x, y, z)
     payload = {
         "operation": "median",
@@ -143,7 +149,11 @@ def cmd_ac(args) -> int:
     ball = build_ball(group, args.radius)
     if args.delta == "auto":
         dom_r = min(args.nmax, max(args.radius - 2, 1))
-        est = estimate_delta(ball, dom_r, domain="half",
+        # C_n reads only B_n, so the margin serves the estimate alone
+        need = recommended_ball_radius(group, dom_r)
+        est_ball = ball if need <= ball.radius else \
+            build_ball(group, need, source=ball)
+        est = estimate_delta(est_ball, dom_r, domain="half",
                              sampling="exhaustive", seed=args.seed)
         delta_hat = est.value
     else:

@@ -24,9 +24,8 @@ its doubled distances to x, y, z is at least u's minus 1, and its doubled
 slack at least u's minus 2.  The scan and the seed walks skip the
 midpoints at u when that bound exceeds the best slack: such a midpoint
 can neither win nor trigger the cap.  The bound needs u's three distances
-exact.  A doubled distance of at most 2 * ball.radius is, since the
-in-ball BFS fallback only runs beyond the radius; elsewhere the skip is
-off, so undersized balls give the same result as without it.
+exact, so the skip is off at a u with a FAR distance (ball.py): a
+midpoint there can read its other end's exact distance, far below u's.
 
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
@@ -44,13 +43,15 @@ so far.  Two skips leave its output that of one search per triple:
   slack d(x, y) + d(x, z) - d(y, z), twice the Gromov product (y|z)_x;
   when the least of the three is at most the cap the search would abort
   there, so the triple is skipped before it starts;
-- with the recommended ball radius every distance read is exact, so
-  left translates of a triple have equal slack, and exhaustive mode on
+- left translates of a triple have equal slack, and exhaustive mode on
   the vertex domain searches only the first triple of each class in
   iteration order.  It meets the cap the plain loop would; later members
-  never exceed it.  Below that radius truncation breaks the invariance
-  and it is off; it is off too where pairs have few translates (about 2
+  never exceed it.  It is off where pairs have few translates (about 2
   in F2), as the classes then save little.
+
+Both need the margin of recommended_ball_radius, which estimate_delta
+requires of its ball.  median checks only that its triple's own pair
+distances are not FAR; the CLI builds the margin for its points.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import HALF, VERTEX, BallIndex, Point
+from .ball import FAR, HALF, VERTEX, BallIndex, Point
 from .errors import InputError
 
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 7
@@ -203,7 +204,6 @@ class _MedianSearch:
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
-        self.r2 = 2 * ball.radius
         self.best_key: tuple = (math.inf,)  # above every key
         self.seen_mids: set[tuple[int, int]] = set()
 
@@ -215,9 +215,8 @@ class _MedianSearch:
     def mids_lose(self, u: int, s: int) -> bool:
         """True when no midpoint of an edge at vertex u, offered at
         doubled slack s, can take the best key (module docstring)."""
-        r2 = self.r2
-        return s - 2 > self.best_key[0] and self.xr[u] <= r2 \
-            and self.yr[u] <= r2 and self.zr[u] <= r2
+        return s - 2 > self.best_key[0] and self.xr[u] < FAR \
+            and self.yr[u] < FAR and self.zr[u] < FAR
 
     def consider_mid(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
@@ -337,7 +336,7 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
     A call checks its points and searches with a fresh DistanceRows.
     `_rows` is estimate_delta's path only: it shares one cache over many
     triples and skips the checks, because that domain was built distinct
-    and in the ball.
+    and in the ball.  A pair of the triple FAR apart is an input error.
     """
     if _rows is None:
         for p in (x, y, z):
@@ -349,7 +348,11 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
     if cap is not None:  # int(2 * cap), without a Fraction product
         n2, d = 2 * cap.numerator, cap.denominator
         cap2 = n2 // d if n2 >= 0 else -(-n2 // d)
-    return _MedianSearch(ball, _rows, x, y, z, t_halves).run(cap2, prune)
+    search = _MedianSearch(ball, _rows, x, y, z, t_halves)
+    if max(search.dxy2, search.dyz2, search.dzx2) >= FAR:
+        raise InputError("triple wider than the ball, see "
+                         "recommended_ball_radius")
+    return search.run(cap2, prune)
 
 
 def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
@@ -369,7 +372,10 @@ def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
 
 
 def recommended_ball_radius(group, domain_radius: int) -> int:
-    """A build radius that keeps all triple and t-search distances exact."""
+    """A build radius at which every distance that decides a search over
+    points of norm <= domain_radius is exact; FAR ones price only losing
+    candidates.  Exhaustive delta on the built-in groups and 30k random
+    medians, pruned and not, match an in-ball BFS distance in FAR's place."""
     if group.exact_norm(group.identity()) is not None:
         return domain_radius + 2
     return 2 * domain_radius + 2
@@ -421,8 +427,13 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     running cap: the witness is the earliest triple attaining the maximum,
     with its own search as witness_median.  The pre-filter skips triples
     in both modes; translation classes only exhaustive vertex-domain
-    ones, as sampled draws rarely repeat a class.
+    ones, as sampled draws rarely repeat a class.  The ball needs the
+    margin of recommended_ball_radius.
     """
+    need = recommended_ball_radius(ball.group, radius)
+    if ball.radius < need:
+        raise InputError(f"delta needs a ball of radius {need}, "
+                         f"not {ball.radius}")
     points = domain_points(ball, radius, domain)
     n = len(points)
     if sampling == "exhaustive" and n ** 3 > EXHAUSTIVE_TRIPLE_CAP:
@@ -464,9 +475,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     if sampling == "exhaustive":
         total = n * (n - 1) * (n - 2) // 6
         table = [[pair2(i, j) for j in range(n)] for i in range(n)]
-        # below the margin, truncated distances break translation invariance
-        if domain == "vertices" and \
-                ball.radius >= recommended_ball_radius(ball.group, radius):
+        if domain == "vertices":
             key = _translation_key(ball, points)
         for i in range(n):
             ti = table[i]

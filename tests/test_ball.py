@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleylab.ball import VERTEX, Point, build_ball
+from cayleylab.ball import FAR, VERTEX, Point, build_ball
 from cayleylab.errors import InputError, ResourceError
 from cayleylab.groups import RewritingGroup, get_group
 from cayleylab.rewriting import parse_group_file
@@ -133,6 +133,20 @@ def test_distance_metric_axioms_sampled():
             assert dpq == ball.distance(q, p)
             assert dpq >= 0 and (dpq == 0) == (p == q)
             assert dpq <= ball.distance(p, r) + ball.distance(r, q)
+
+
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "heisenberg"])
+def test_vertex_distance_beyond_the_ball_is_far(name):
+    # a^2 and a^-2 are 4 apart, beyond the radius-2 ball: no estimate
+    # from inside it, and no geodesic
+    ball = build_ball(get_group(name), 2)
+    u, v = (ball.point_of_element(ball.group.evaluate(
+        ball.group.alphabet.parse_word(w))) for w in ("a,a", "a^,a^"))
+    assert ball.vertex_distance(u.a, v.a) == FAR > ball.radius
+    assert ball.vertex_distance(v.a, u.a) == FAR
+    assert ball.vertex_distance(u.a, 0) == 2
+    with pytest.raises(InputError):
+        ball.geodesic(u, v)
 
 
 def test_f2_distance_matches_tree_oracle():

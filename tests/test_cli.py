@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cayleylab import cli
 from cayleylab.cli import main, parse_lengths
 from cayleylab.errors import InputError
 from test_groups import NON_CONFLUENT_RULES
@@ -82,6 +83,51 @@ def test_median_midpoint_syntax(capsys):
     payload = json.loads(out)
     assert payload["x"] == "mid((0,0)|(1,0))"
     assert payload["slack"] == "1/1"
+
+
+def test_median_builds_the_margin_its_points_need(capsys):
+    # at radius 3 a distance of this triple was once read off an in-ball
+    # search and came out 0; the radius-8 ball holds every geodesic
+    triple = ("--x", "a", "--y", "a^,b,a", "--z", "b^,a^,b^")
+    outs = [run(capsys, "median", "--group", "heisenberg", "--radius", r,
+                *triple)[:2] for r in ("3", "8")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert "slack=2/1" in outs[0][1]
+
+
+def test_median_pair_slacks_are_nonnegative(capsys):
+    # each pair slack is a triangle-inequality excess
+    code, out, _ = run(capsys, "median", "--group", "heisenberg", "--radius",
+                       "3", "--x", "a^,b,a^", "--y", "b^,a^", "--z", "a,b^,a^")
+    assert code == 0
+    assert "pair_slacks=0/1;0/1;0/1" in out.splitlines()
+
+
+def test_ac_auto_estimates_delta_at_the_margin(monkeypatch, capsys):
+    radii = []
+    build_ball = cli.build_ball
+
+    def recorded(group, radius, *args, **kwargs):
+        radii.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ball", recorded)
+    code, out, _ = run(capsys, "ac", "--group", "heisenberg", "--radius", "7",
+                       "--nmax", "5")
+    assert code == 0
+    # the estimate runs at recommended_ball_radius(heisenberg, 5) == 12;
+    # C_n reads B_n only, so the report is the one from before the margin
+    assert radii == [7, 12]
+    assert out.splitlines() == [
+        "n,pairs,C_n,bound,pass",
+        "0,0,0,17/1,true",
+        "1,6,2,17/1,true",
+        "2,12,2,17/1,true",
+        "3,68,6,17/1,true",
+        "4,164,6,17/1,true",
+        "5,364,10,17/1,true",
+    ]
 
 
 def test_ac_csv(capsys):

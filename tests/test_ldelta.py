@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cayleylab import ldelta
-from cayleylab.ball import BallIndex, Point, build_ball
+from cayleylab.ball import FAR, BallIndex, Point, build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
 from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
@@ -162,7 +162,7 @@ def test_median_pruning_soundness(name, radius):
 def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
     # the search skips the midpoints at a vertex u whose slack is more
     # than 1 above the best; that is sound where u's three distances are
-    # exact, which a distance of at most the ball radius is
+    # exact, which every distance short of FAR is, even on a small ball
     group = get_group(name)
     radius = 3 if undersized else recommended_ball_radius(group, 2)
     ball = build_ball(group, radius)
@@ -173,7 +173,7 @@ def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
         x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
         for u in range(len(ball)):
             t = Point.vertex(u)
-            if any(ball.distance(p, t) > radius for p in (x, y, z)):
+            if any(ball.distance(p, t) >= FAR for p in (x, y, z)):
                 continue
             bound = slack(ball, t, x, y, z) - 1
             for w in ball.adj[u]:
@@ -183,25 +183,49 @@ def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
     assert checked > 400
 
 
-def test_midpoint_skip_keeps_undersized_medians(monkeypatch):
-    # on an undersized Heisenberg ball some distances are in-ball BFS
-    # overestimates; a skip that trusted them changed the first two medians
+def test_midpoint_skip_keeps_medians(monkeypatch):
+    # the skip trusts only distances short of FAR; medians with capped
+    # and full searches come out the same without it
     group = get_group("heisenberg")
-    balls = {r: build_ball(group, r) for r in (3, 4)}
-    pts = {r: domain_points(balls[r], r, "half") for r in (3, 4)}
-    cases = [(3, (76, 83, 40), F(-1)), (4, (273, 85, 252), F(0))]
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "half")
     rng = random.Random(31)
-    cases += [(r, rng.sample(range(len(pts[r])), 3), rng.choice((None, F(0))))
-              for r in (3, 4) for _ in range(150)]
+    cases = [(rng.sample(range(len(pts)), 3), rng.choice((None, F(0), F(1))))
+             for _ in range(300)]
 
     def medians():
-        return [median(balls[r], *(pts[r][i] for i in idx), cap=cap)
-                for r, idx, cap in cases]
+        return [median(ball, *(pts[i] for i in idx), cap=cap)
+                for idx, cap in cases]
 
     skipping = medians()
     monkeypatch.setattr(ldelta._MedianSearch, "mids_lose",
                         lambda self, u, s: False)
     assert medians() == skipping
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("z2-std", 4), ("z2-abc", 4), ("f2", 3), ("heisenberg", 3)])
+def test_median_at_the_margin_equals_a_larger_ball(name, radius):
+    # at recommended_ball_radius every distance that decides a search is
+    # exact; FAR ones only price candidates that lose, so four more
+    # shells of exact distances change no median
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, radius))
+    larger = build_ball(group, ball.radius + 4, source=ball)
+    pts = domain_points(ball, radius, "half")
+    rng = random.Random(41)
+    for _ in range(500):
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        assert median(ball, *triple) == median(larger, *triple)
+
+
+def test_median_of_a_far_pair_is_an_input_error():
+    # a^3 and a^-3 are 6 apart, beyond the radius-3 ball
+    ball = build_ball(get_group("z2-std"), 3)
+    x, y, z = (ball.point_of_element(e) for e in ((3, 0), (-3, 0), (0, 1)))
+    assert ball.distance(x, y) == FAR
+    with pytest.raises(InputError, match="recommended_ball_radius"):
+        median(ball, x, y, z)
 
 
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
@@ -371,17 +395,15 @@ def test_exhaustive_delta_equals_one_search_per_triple(name, domain, radius):
 
 @pytest.mark.parametrize("name,radius,domain,ball_radius", [
     ("z2-abc", 3, "vertices", 4), ("heisenberg", 3, "vertices", 5),
-    ("z2-abc", 2, "half", 3)])
-def test_undersized_ball_delta_equals_one_search_per_triple(
+    ("z2-abc", 2, "half", 3), ("z2-abc", 5, "vertices", 7),
+    ("f2", 4, "half", 5)])
+def test_delta_below_the_margin_is_an_input_error(
         name, radius, domain, ball_radius):
-    # below recommended_ball_radius distances are truncated in-ball BFS
-    # distances and the class skip is off; the pre-filter reads the same
-    # distances as the search, so it stays exact
     group = get_group(name)
     assert ball_radius < recommended_ball_radius(group, radius)
-    ball = build_ball(group, ball_radius)
-    est = estimate_delta(ball, radius, domain=domain, sampling="exhaustive")
-    assert _as_oracle(est) == plain_exhaustive_delta(ball, radius, domain)
+    with pytest.raises(InputError, match="needs a ball of radius"):
+        estimate_delta(build_ball(group, ball_radius), radius, domain=domain,
+                       sampling="exhaustive")
 
 
 @pytest.mark.parametrize("name", ["z2-abc", "heisenberg"])
@@ -432,15 +454,6 @@ def test_exhaustive_delta_skips_midpoints_that_cannot_win(monkeypatch):
     assert est.value == 3
     # offering every midpoint at each scanned vertex made 100,354 calls
     assert calls[0] <= 50_000
-
-
-def test_translation_classes_need_the_ball_margin(monkeypatch):
-    # ball 7 is under recommended_ball_radius(z2-abc, 5) == 12: truncated
-    # distances break translation invariance, so only the pre-filter skips
-    calls = _count_medians(monkeypatch)
-    estimate_delta(build_ball(get_group("z2-abc"), 7), 5, domain="vertices",
-                   sampling="exhaustive")
-    assert calls[0] > 5_000
 
 
 @pytest.mark.parametrize("name,on", [("f2", False), ("heisenberg", True),
