@@ -54,7 +54,7 @@ class Group:
         return None
 
     def format_element(self, e: Element) -> str:
-        return repr(e)
+        return "(" + ",".join(str(x) for x in e) + ")"
 
 
 class ZnGroup(Group):
@@ -83,9 +83,6 @@ class ZnGroup(Group):
 
     def inverse(self, e: Element) -> Element:
         return tuple(map(operator.neg, e))
-
-    def format_element(self, e: Element) -> str:
-        return "(" + ",".join(str(x) for x in e) + ")"
 
 
 class FreeGroup(Group):
@@ -154,9 +151,6 @@ class HeisenbergGroup(Group):
     def inverse(self, e: Element) -> Element:
         p, q, r = e
         return (-p, -q, p * q - r)
-
-    def format_element(self, e: Element) -> str:
-        return "(" + ",".join(str(x) for x in e) + ")"
 
 
 class RewritingGroup(Group):

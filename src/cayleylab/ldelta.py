@@ -39,7 +39,7 @@ bytes each).  Neither computes a full row.
 
 estimate_delta is one serial loop with a running cap, the largest slack
 so far.  Two skips leave its output that of one search per triple:
-- a triple's own points are the search's first seed step, and t = x has
+- a triple's own points are offered in the search's seed step; t = x has
   slack d(x, y) + d(x, z) - d(y, z), twice the Gromov product (y|z)_x;
   when the least of the three is at most the cap the search would abort
   there, so the triple is skipped before it starts;
@@ -243,52 +243,43 @@ class _MedianSearch:
             s = s2
         if s > self.best_key[0]:
             return s
-        key = (s, dx, dy, kind, a, b)
+        # dz never decides: (kind, a, b) is unique to a point
+        key = (s, dx, dy, kind, a, b, dz)
         if key < self.best_key:
             self.best_key = key
-            self._best_dz = dz
         return s
 
-    def _aborted(self, cap2: int | None) -> bool:
-        return cap2 is not None and self.best_key[0] <= cap2
-
-    def seed(self, cap2: int | None) -> bool:
-        """Evaluate the triple's own points and the points along one
-        geodesic per pair; in well-behaved groups this already contains a
-        minimum-slack t.  Returns True when the cap aborts the triple."""
-        for p in (self.x, self.y, self.z):
-            if p.kind == VERTEX:
-                self.consider_vertex(p.a)
-            elif self.t_halves:
-                self.consider_mid(p.a, p.b)
-            if self._aborted(cap2):
-                return True
+    def seed(self, cap2: int) -> bool:
+        """Evaluate the triple's own midpoints and the points along one
+        geodesic per pair, which start and end at its vertices; in
+        well-behaved groups this already contains a minimum-slack t.
+        Returns True when the cap aborts the triple."""
+        if self.t_halves:
+            for p in (self.x, self.y, self.z):
+                if p.kind == HALF:
+                    self.consider_mid(p.a, p.b)
         for a, b in ((self.x, self.y), (self.y, self.z), (self.z, self.x)):
             walk = self.rows.walk(a, b)
-            cur = walk[0]
-            s = self.consider_vertex(cur)
-            for nxt in walk[1:]:
+            s = self.consider_vertex(walk[0])
+            for cur, nxt in zip(walk, walk[1:]):
                 if self.t_halves and not self.mids_lose(cur, s):
                     self.consider_mid(cur, nxt)
                 s = self.consider_vertex(nxt)
-                cur = nxt
-                if self._aborted(cap2):
+                if self.best_key[0] <= cap2:
                     return True
-            if self._aborted(cap2):
-                return True
-        return False
+        return self.best_key[0] <= cap2
 
     def _result(self) -> MedianResult:
-        s, dx, dy, kind, a, b = self.best_key
-        dz = self._best_dz
+        s, dx, dy, kind, a, b, dz = self.best_key
         half = Fraction(1, 2)
         pairs = (half * (dx + dy - self.dxy2),
                  half * (dy + dz - self.dyz2),
                  half * (dz + dx - self.dzx2))
         return MedianResult(Point(kind, a, b), half * s, pairs)
 
-    def run(self, cap2: int | None, prune: bool) -> MedianResult | None:
-        """The search with the cap in doubled units."""
+    def run(self, cap2: int, prune: bool) -> MedianResult | None:
+        """The search with the cap in doubled units, -1 for none (every
+        doubled slack is at least 0)."""
         ball = self.ball
         if self.seed(cap2):
             return None
@@ -320,7 +311,7 @@ class _MedianSearch:
                     for w in ball.adj[tid]:
                         if w >= 0:
                             self.consider_mid(tid, w)
-                if self._aborted(cap2):
+                if self.best_key[0] <= cap2:
                     return None
             m += 1
         return self._result()
@@ -330,8 +321,8 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
            cap: Fraction | None = None, t_halves: bool = True,
            prune: bool = True, *,
            _rows: DistanceRows | None = None) -> MedianResult | None:
-    """The minimum-slack point t for the triple, or None if every slack at
-    or below `cap` (when given) was ruled out early.
+    """The minimum-slack point t for the triple, or None when `cap` is
+    given and that slack is at most cap, found out as early as possible.
 
     A call checks its points and searches with a fresh DistanceRows.
     `_rows` is estimate_delta's path only: it shares one cache over many
@@ -344,10 +335,8 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
         if len({x, y, z}) != 3:
             raise InputError("median needs three distinct points")
         _rows = DistanceRows(ball)
-    cap2 = None
-    if cap is not None:  # int(2 * cap), without a Fraction product
-        n2, d = 2 * cap.numerator, cap.denominator
-        cap2 = n2 // d if n2 >= 0 else -(-n2 // d)
+    # floor(2 * cap), without a Fraction product; a negative cap is none
+    cap2 = -1 if cap is None else 2 * cap.numerator // cap.denominator
     search = _MedianSearch(ball, _rows, x, y, z, t_halves)
     if max(search.dxy2, search.dyz2, search.dzx2) >= FAR:
         raise InputError("triple wider than the ball, see "
@@ -366,7 +355,7 @@ def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
            if ball.dist[v] <= radius]
     if domain == "half":
         for u, v in ball.edges:
-            if min(ball.dist[u], ball.dist[v]) + Fraction(1, 2) <= radius:
+            if min(ball.dist[u], ball.dist[v]) < radius:
                 pts.append(Point(HALF, u, v))
     return pts
 
@@ -447,9 +436,10 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     rows = DistanceRows(ball)
     key = None
     seen: set = set()
-    # cap is the largest slack so far; a triple with some t = p of doubled
-    # slack at most cap2 is skipped, which is off while cap is negative
-    cap, cap2, best = Fraction(-1), -math.inf, None
+    # cap is the largest slack so far, -1/2 (below every slack) before the
+    # first; a triple with some t = p of doubled slack at most cap2 is
+    # skipped
+    cap, cap2, best = Fraction(-1, 2), -1, None
 
     def search(i, j, k):  # a triple past the pre-filter
         nonlocal rows, cap, cap2, best
@@ -462,10 +452,9 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
             rows = DistanceRows(ball)
         x, y, z = points[i], points[j], points[k]
         med = median(ball, x, y, z, cap=cap, _rows=rows)
-        if med is not None and med.slack > cap:
+        if med is not None:  # so med.slack > cap
             cap, best = med.slack, ((x, y, z), med)
-            if cap >= 0:
-                cap2 = int(2 * cap)
+            cap2 = int(2 * cap)
 
     def pair2(i, j):  # twice the distance, read as the search reads it
         p, q = points[i], points[j]

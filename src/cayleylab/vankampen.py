@@ -209,8 +209,8 @@ def _fill_once(ball: BallIndex, loop: Loop, threshold: int,
     return node, max_d, leaves, max_len
 
 
-def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
-         ) -> SubdivisionTree:
+def fill(ball: BallIndex, w: Word,
+         policy: ThresholdPolicy = adaptive()) -> SubdivisionTree:
     """Subdivide an identity word down to cells of length <= T.
 
     The fixed policy raises ContractionError on a contraction failure;
@@ -226,8 +226,6 @@ def fill(ball: BallIndex, w: Word, policy: ThresholdPolicy | None = None,
     w = free_reduce(group.alphabet, tuple(w))
     if group.evaluate(w) != group.identity():
         raise InputError("fill needs a word evaluating to the identity")
-    if policy is None:
-        policy = adaptive()
     threshold = policy.t0
     if threshold < 1:
         raise InputError("threshold must be positive")
@@ -318,7 +316,7 @@ def _scan_tasks(group: Group, lengths: list[int], samples: int):
 
 
 def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
-              policy: ThresholdPolicy | None = None, seed: int = 0,
+              policy: ThresholdPolicy = adaptive(), seed: int = 0,
               threads: int = 1) -> AreaScan:
     """Fill sampled identity words per length and fit a cell-count slope.
 
@@ -334,8 +332,6 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     the radius is the largest `fill_ball_radius` asks of them.  A fill
     whose adaptive threshold outgrows the ball grows its own (see fill).
     """
-    if policy is None:
-        policy = adaptive()
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
         raise InputError("scan lengths must be at least 4")

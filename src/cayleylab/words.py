@@ -1,8 +1,8 @@
 """Generator alphabets and plain word operations.
 
 Words are tuples of small integer generator ids.  An alphabet is always
-inverse closed: every generator knows the id of its inverse (which may be
-itself for involutions).
+inverse closed: each base generator `x` is followed by its inverse `x^`,
+and every generator knows the id of its inverse.
 """
 from __future__ import annotations
 
@@ -30,51 +30,28 @@ class Alphabet:
     """
 
     def __init__(self, generators: list[Generator]):
-        if not generators:
-            raise InputError("alphabet must be nonempty")
-        labels = [g.label for g in generators]
-        if len(set(labels)) != len(labels):
-            raise InputError("generator labels must be unique")
-        for g in generators:
-            inv = generators[g.inverse_id]
-            if inv.inverse_id != g.id:
-                raise InputError("alphabet is not inverse closed")
         self.generators = tuple(generators)
         self._by_label = {g.label: g.id for g in generators}
 
     @classmethod
-    def from_labels(cls, labels: list[str]) -> "Alphabet":
-        """Build from base labels; `x` gets an inverse labeled `x^`.
-
-        A label already ending in `^` pairs with its base form, so an
-        explicit ordering like ["a", "a^", "b", "b^"] also works.
-        """
-        gens: list[Generator] = []
-        index: dict[str, int] = {}
-        for lab in labels:
-            if lab in index:
-                raise InputError(f"duplicate generator label {lab!r}")
-            index[lab] = len(gens)
-            gens.append(Generator(len(gens), lab, -1))
-        fixed: list[Generator] = []
-        for g in gens:
-            partner = g.label[:-1] if g.label.endswith("^") else g.label + "^"
-            if partner not in index:
-                raise InputError(
-                    f"missing inverse label for {g.label!r}; "
-                    "alphabets must list both x and x^"
-                )
-            fixed.append(Generator(g.id, g.label, index[partner]))
-        return cls(fixed)
-
-    @classmethod
     def with_inverses(cls, base_labels: list[str]) -> "Alphabet":
-        """Build from base labels only, interleaving `x^` inverses."""
-        labels: list[str] = []
-        for lab in base_labels:
-            labels.append(lab)
-            labels.append(lab + "^")
-        return cls.from_labels(labels)
+        """Build from base labels, each `x` followed by its inverse `x^`.
+
+        The list must be nonempty, without repeats, and no label may end
+        in `^`, which marks inverses.
+        """
+        if not base_labels:
+            raise InputError("alphabet must be nonempty")
+        gens: list[Generator] = []
+        for i, lab in enumerate(base_labels):
+            if lab in base_labels[:i]:
+                raise InputError(f"duplicate generator label {lab!r}")
+            if lab.endswith("^"):
+                raise InputError(f"generator label {lab!r} ends in '^', "
+                                 "which marks inverses")
+            gens += (Generator(2 * i, lab, 2 * i + 1),
+                     Generator(2 * i + 1, lab + "^", 2 * i))
+        return cls(gens)
 
     def __len__(self) -> int:
         return len(self.generators)

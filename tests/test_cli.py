@@ -50,6 +50,16 @@ def test_ball_dot(capsys):
     assert out.rstrip().endswith("}")
 
 
+@pytest.mark.parametrize("generators", ["a a", "a^", ""])
+def test_bad_generators_line_exits_1(capsys, tmp_path, generators):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"generators: {generators}\n")
+    code, out, err = run(capsys, "ball", "--group", str(path), "--radius", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
 def test_delta_json_example(capsys):
     code, out, _ = run(capsys, "delta", "--group", "z2-std", "--radius", "4",
                        "--domain", "vertices", "--exhaustive", "--json")

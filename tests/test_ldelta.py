@@ -15,6 +15,7 @@ from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
                               median, pair_slacks, recommended_ball_radius,
                               slack)
 from oracles import grid_min_slack, plain_exhaustive_delta
+from test_rewriting import Z2_RULES_TEXT
 
 F = Fraction
 # sha256 of the medians of 300 seeded vertex triples of norm <= 20 in the
@@ -228,6 +229,37 @@ def test_median_of_a_far_pair_is_an_input_error():
         median(ball, x, y, z)
 
 
+def test_median_whose_geodesic_leaves_the_ball_is_an_input_error():
+    # every pair distance is exact, but the geodesic a a b^ of
+    # (1,1)^-1 (3,0) runs from (1,1) through (3,1), of norm 4
+    ball = build_ball(get_group("z2-std"), 3)
+    x, y, z = (ball.point_of_element(e) for e in ((1, 1), (3, 0), (0, 0)))
+    with pytest.raises(InputError, match="geodesic leaves the ball"):
+        median(ball, x, y, z)
+
+
+# caps in the search's doubled units are floor(2 * cap): -1/4 is no cap
+CAPS = [None, F(-1), F(-1, 4), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2),
+        F(3)]
+
+
+@pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
+def test_median_is_none_exactly_when_its_slack_is_within_the_cap(name):
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "half")
+    rng = random.Random(17)
+    for _ in range(150):
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        uncapped = median(ball, *triple)
+        for cap in CAPS:
+            got = median(ball, *triple, cap=cap)
+            if cap is not None and uncapped.slack <= cap:
+                assert got is None, (triple, cap)
+            else:
+                assert got == uncapped, (triple, cap)
+
+
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 def test_shared_chunk_cache_matches_fresh_median(name):
     # one cache serves a whole chunk of triples in estimate_delta; every
@@ -391,6 +423,20 @@ def test_exhaustive_delta_equals_one_search_per_triple(name, domain, radius):
     est = estimate_delta(ball, radius, domain=domain, sampling="exhaustive")
     assert est.sampling == "exhaustive"
     assert _as_oracle(est) == plain_exhaustive_delta(ball, radius, domain)
+
+
+@pytest.mark.parametrize("domain,radius", [("vertices", 3), ("half", 2)])
+def test_definition_file_delta_equals_the_built_in_group(tmp_path, domain,
+                                                          radius):
+    # the README's rules for Z^2 in shortlex order a a^ b b^, whose BFS
+    # assigns z2-std's vertex ids, so even the witnesses agree
+    path = tmp_path / "z2.grp"
+    path.write_text(Z2_RULES_TEXT)
+    estimates = []
+    for group in (get_group(str(path)), get_group("z2-std")):
+        ball = build_ball(group, recommended_ball_radius(group, radius))
+        estimates.append(estimate_delta(ball, radius, domain))
+    assert estimates[0] == estimates[1]
 
 
 @pytest.mark.parametrize("name,radius,domain,ball_radius", [

@@ -109,3 +109,17 @@ def test_group_file_roundtrip(tmp_path):
 def test_group_file_requires_generators():
     with pytest.raises(InputError):
         parse_group_file("order: a a^\n")
+
+
+@pytest.mark.parametrize("generators,message", [
+    ("a a", "duplicate generator label 'a'"),
+    ("a^", "ends in '\\^'"),
+    ("", "nonempty"),
+])
+def test_group_file_with_a_bad_generators_line_is_rejected(tmp_path,
+                                                           generators,
+                                                           message):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"generators: {generators}\n")
+    with pytest.raises(InputError, match=message):
+        get_group(str(path))

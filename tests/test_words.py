@@ -21,6 +21,8 @@ def test_alphabet_is_inverse_closed(ab):
         assert ab.inverse(ab.inverse(g.id)) == g.id
     labels = [g.label for g in ab.generators]
     assert len(set(labels)) == len(labels)
+    assert [(g.id, g.label, g.inverse_id) for g in ab.generators] == [
+        (0, "a", 1), (1, "a^", 0), (2, "b", 3), (3, "b^", 2)]
 
 
 def test_free_reduce_examples(ab):
