@@ -1,6 +1,6 @@
 """Built-in group families and their canonical element forms.
 
-Canonical forms: integer vectors for Z^n, freely reduced words for free
+Canonical forms: integer pairs for Z^2, freely reduced words for free
 groups, integer triples (p, q, r) for the Heisenberg group under
 (p,q,r)*(p',q',r') = (p+p', q+q', r+r'+p*q'), and shortlex-minimal normal
 form words for rewriting-defined groups.  Two canonical forms are equal
@@ -8,7 +8,6 @@ iff the group elements are equal.
 """
 from __future__ import annotations
 
-import operator
 import os
 
 from .errors import InputError
@@ -58,31 +57,27 @@ class Group:
 
 
 class ZnGroup(Group):
-    """Z^n with an arbitrary finite symmetric generating set of vectors."""
+    """Z^2 with a finite symmetric generating set of integer pairs."""
 
-    def __init__(self, name: str, gens: list[tuple[str, tuple[int, ...]]]):
+    def __init__(self, name: str, gens: list[tuple[str, tuple[int, int]]]):
         self.name = name
-        dims = {len(v) for _, v in gens}
-        if len(dims) != 1:
-            raise InputError("generating vectors must share a dimension")
-        self.dim = dims.pop()
         self.alphabet = Alphabet.with_inverses([lab for lab, _ in gens])
-        self._vectors: list[tuple[int, ...]] = []
-        for _, v in gens:
-            self._vectors.append(tuple(v))
-            self._vectors.append(self.inverse(v))
+        self._vectors: list[tuple[int, int]] = []
+        for _, (x, y) in gens:
+            self._vectors += [(x, y), (-x, -y)]
 
     def identity(self) -> Element:
-        return (0,) * self.dim
+        return (0, 0)
 
     def apply(self, e: Element, gen_id: int) -> Element:
-        return tuple(map(operator.add, e, self._vectors[gen_id]))
+        x, y = self._vectors[gen_id]
+        return (e[0] + x, e[1] + y)
 
     def multiply(self, a: Element, b: Element) -> Element:
-        return tuple(map(operator.add, a, b))
+        return (a[0] + b[0], a[1] + b[1])
 
     def inverse(self, e: Element) -> Element:
-        return tuple(map(operator.neg, e))
+        return (-e[0], -e[1])
 
 
 class FreeGroup(Group):

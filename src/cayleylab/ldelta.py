@@ -34,8 +34,9 @@ midpoint's row is read from its ends' rows, and one seed geodesic per
 point pair is kept as well.  The shell scan fills a vertex x's row as it
 goes: the candidate t = x s for s on shell m lies at distance m from x.
 median() makes a fresh cache per call; estimate_delta shares one across
-its triples and starts afresh past _CACHE_ENTRIES distances (about 45
-bytes each).  Neither computes a full row.
+its triples and vankampen.fill one across its splits, and bounded_rows
+starts both afresh past _CACHE_ENTRIES distances (about 45 bytes each).
+None computes a full row.
 
 estimate_delta is one serial loop with a running cap, the largest slack
 so far.  Two skips leave its output that of one search per triple:
@@ -163,6 +164,12 @@ class DistanceRows(dict):
                 ids.append(adj[ids[-1]][gen])
             self.walks[key] = tuple(ids)
         return self.walks[key]
+
+
+def bounded_rows(rows: DistanceRows) -> DistanceRows:
+    """rows, or a fresh cache on its ball once rows holds more than
+    _CACHE_ENTRIES distances and walks."""
+    return DistanceRows(rows.ball) if rows.held[0] > _CACHE_ENTRIES else rows
 
 
 def _d2(p: Point, p_row, q: Point, q_row) -> int:
@@ -325,9 +332,10 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
     given and that slack is at most cap, found out as early as possible.
 
     A call checks its points and searches with a fresh DistanceRows.
-    `_rows` is estimate_delta's path only: it shares one cache over many
-    triples and skips the checks, because that domain was built distinct
-    and in the ball.  A pair of the triple FAR apart is an input error.
+    `_rows` is the path of estimate_delta and vankampen.split_loop: they
+    share one cache over many searches and skip the checks, because their
+    points are distinct and in the ball.  A pair of the triple FAR apart
+    is an input error.
     """
     if _rows is None:
         for p in (x, y, z):
@@ -448,8 +456,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
             if c in seen:
                 return
             seen.add(c)
-        if rows.held[0] > _CACHE_ENTRIES:
-            rows = DistanceRows(ball)
+        rows = bounded_rows(rows)
         x, y, z = points[i], points[j], points[k]
         med = median(ball, x, y, z, cap=cap, _rows=rows)
         if med is not None:  # so med.slack > cap

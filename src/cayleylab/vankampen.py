@@ -27,7 +27,7 @@ from fractions import Fraction
 from .ball import BallIndex, Point, build_ball
 from .errors import InputError, InternalError, ResourceError
 from .groups import Group, ZnGroup
-from .ldelta import median
+from .ldelta import DistanceRows, bounded_rows, median
 from .words import Word, concat, free_reduce, invert
 
 SUBCUBIC_EXPONENT = 1.0 / (1.0 - math.log(2, 3))  # about 2.7095
@@ -132,14 +132,18 @@ class SplitResult:
     conjugators: tuple[Word, Word, Word]  # relative to the parent base
 
 
-def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
+def split_loop(ball: BallIndex, loop: Loop,
+               rows: DistanceRows) -> SplitResult:
     """Trisect a loop through a median of its third-points.
 
     Splits at vertex offsets floor(n/3) and n - floor(n/3), connects the
     three marked vertices to a minimum-slack vertex t, verifies the
     decomposition identity by free reduction, and checks that each child
     is strictly shorter.  Coincident marked vertices short-circuit the
-    median search.
+    median search.  The search reads and fills `rows`, a distance cache
+    on the ball, and skips median's point checks: the loop's walk put the
+    marked vertices in the ball, and the search runs only when they are
+    distinct.
     """
     word = loop.word
     n = len(word)
@@ -151,7 +155,7 @@ def split_loop(ball: BallIndex, loop: Loop) -> SplitResult:
     distinct = {zid, xid, yid}
     if len(distinct) == 3:
         tid = median(ball, Point.vertex(xid), Point.vertex(yid),
-                     Point.vertex(zid), t_halves=False).t.a
+                     Point.vertex(zid), t_halves=False, _rows=rows).t.a
     else:
         # a repeated marked vertex is already a perfect meeting point
         tid = xid if xid in (yid, zid) else yid
@@ -192,16 +196,32 @@ def fill_ball_radius(group: Group, w: Word, threshold: int) -> int:
     return max_norm + len(w) + threshold
 
 
-def _fill_once(ball: BallIndex, loop: Loop, threshold: int,
+class _Splits(dict):
+    """split_loop(ball, loop) by loop, made on first use; the median
+    searches of the splits share one distance cache.  A ContractionError
+    propagates and is never stored."""
+
+    def __init__(self, ball: BallIndex):
+        super().__init__()
+        self.ball = ball
+        self.rows = DistanceRows(ball)
+
+    def __missing__(self, loop: Loop) -> SplitResult:
+        self.rows = bounded_rows(self.rows)
+        split = self[loop] = split_loop(self.ball, loop, self.rows)
+        return split
+
+
+def _fill_once(splits: _Splits, loop: Loop, threshold: int,
                depth: int) -> tuple[SubdivisionNode, int, int, int]:
     """Recursive subdivision; returns (node, depth, leaves, max leaf len)."""
     if len(loop.word) <= threshold:
         return SubdivisionNode(loop), depth, 1, len(loop.word)
-    split = split_loop(ball, loop)
+    split = splits[loop]
     node = SubdivisionNode(loop, split.conjugators)
     max_d, leaves, max_len = depth, 0, 0
     for child in split.children:
-        sub, d, l, m = _fill_once(ball, child, threshold, depth + 1)
+        sub, d, l, m = _fill_once(splits, child, threshold, depth + 1)
         node.children.append(sub)
         max_d = max(max_d, d)
         leaves += l
@@ -221,6 +241,10 @@ def fill(ball: BallIndex, w: Word,
     source) and goes on at the same T.  Vertex ids are a BFS prefix and
     every distance the fill reads is exact within that radius, so the
     result does not depend on how large the ball it was given is.
+
+    On each ball it fills on, the fill keeps one distance cache for its
+    median searches and one table of the splits it made, so a restart
+    splits no loop twice; both start afresh when the ball grows.
     """
     group = ball.group
     w = free_reduce(group.alphabet, tuple(w))
@@ -230,12 +254,14 @@ def fill(ball: BallIndex, w: Word,
     if threshold < 1:
         raise InputError("threshold must be positive")
     root_loop = Loop(group.identity(), w)
+    splits = _Splits(ball)
     while True:
         needed = fill_ball_radius(group, w, threshold)
         if ball.radius < needed:
             ball = build_ball(group, needed, ball.max_vertices, ball)
+            splits = _Splits(ball)
         try:
-            root, depth, leaves, max_len = _fill_once(ball, root_loop,
+            root, depth, leaves, max_len = _fill_once(splits, root_loop,
                                                       threshold, 0)
             return SubdivisionTree(root, threshold, depth, leaves, max_len)
         except ContractionError as exc:
@@ -326,11 +352,12 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     absent with fewer than two distinct lengths.  The fills run serially
     in (length, sample index) order; `threads` is accepted and ignored.
 
-    The scan builds one ball, and every word is drawn from it and filled
-    on it.  Its radius is n // 2 + n + t0 for the largest length n; when
-    the group draws its words without a ball, the words come first and
-    the radius is the largest `fill_ball_radius` asks of them.  A fill
-    whose adaptive threshold outgrows the ball grows its own (see fill).
+    Every word is filled on one ball.  A group without closed-form
+    geodesics draws its words from the ball of radius n // 2 for the
+    largest length n, where random_identity_word walks back.  The scan
+    then builds, or grows by resuming that BFS, a ball of the largest
+    `fill_ball_radius` of the words.  A fill whose adaptive threshold
+    outgrows the ball grows its own (see fill).
     """
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
@@ -339,20 +366,15 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     if len({n for n, _, _ in tasks}) < len(lengths):
         raise InputError("every scan length needs a word; sample at least one")
 
-    def draw_words(ball):
-        return [canonical_identity_word(group, n) if kind == "commutator"
-                else random_identity_word(group, n, f"{seed}:{n}:{s}",
-                                          ball=ball)
-                for n, s, kind in tasks]
-
+    ball = None
     if group.geodesic_word(group.identity()) is None:
-        n = lengths[-1]
-        ball = build_ball(group, n // 2 + n + policy.t0)
-        words = draw_words(ball)
-    else:
-        words = draw_words(None)
-        ball = build_ball(group, max(fill_ball_radius(group, w, policy.t0)
-                                     for w in words))
+        ball = build_ball(group, lengths[-1] // 2)
+    words = [canonical_identity_word(group, n) if kind == "commutator"
+             else random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
+             for n, s, kind in tasks]
+    needed = max(fill_ball_radius(group, w, policy.t0) for w in words)
+    if ball is None or ball.radius < needed:
+        ball = build_ball(group, needed, source=ball)
     results = []
     for (n, s, _), w in zip(tasks, words):  # in (length, sample) order
         tree = fill(ball, w, policy)

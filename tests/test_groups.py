@@ -86,6 +86,30 @@ def test_inverse_and_identity(name):
         assert g.multiply(g.inverse(e), e) == g.identity()
 
 
+# generator images in alphabet order: a, a^, b, b^, ...
+GENERATORS = {
+    "z2-std": [(1, 0), (-1, 0), (0, 1), (0, -1)],
+    "z2-abc": [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)],
+    "heisenberg": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_arithmetic_matches_definitions(name):
+    # Z^2 products are vector sums; apply is multiply by a generator in
+    # every family (Heisenberg multiply is checked against matrices above)
+    g = get_group(name)
+    rng = random.Random(31)
+    for _ in range(300):
+        e, f = (tuple(rng.randrange(-60, 61) for _ in g.identity())
+                for _ in range(2))
+        for gen_id, v in enumerate(GENERATORS[name]):
+            assert g.apply(e, gen_id) == g.multiply(e, v)
+        if name != "heisenberg":
+            assert g.multiply(e, f) == (e[0] + f[0], e[1] + f[1])
+            assert g.inverse(e) == (-e[0], -e[1])
+
+
 def test_unknown_selector():
     with pytest.raises(InputError):
         get_group("no-such-group")

@@ -1,13 +1,16 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cayleylab import vankampen
-from cayleylab.ball import build_ball
+from cayleylab import ldelta, vankampen
+from cayleylab.ball import BallIndex, build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import get_group
+from cayleylab.ldelta import DistanceRows
 from cayleylab.vankampen import (SUBCUBIC_EXPONENT, ContractionError, Loop,
                                  adaptive, canonical_identity_word, dehn_scan,
                                  fill, fill_ball_radius, fixed,
@@ -51,7 +54,7 @@ def test_trisection_identity_random_words(z2):
 
 def test_split_loop_offsets_and_contraction(z2, z2ball):
     w = commutator(z2, 6)  # n = 24
-    split = split_loop(z2ball, Loop(z2.identity(), w))
+    split = split_loop(z2ball, Loop(z2.identity(), w), DistanceRows(z2ball))
     for child in split.children:
         assert len(child.word) < len(w)
         assert z2.evaluate(child.word) == z2.identity()
@@ -59,18 +62,20 @@ def test_split_loop_offsets_and_contraction(z2, z2ball):
 
 def test_split_loop_rejects_short_loop(z2, z2ball):
     with pytest.raises(InputError):
-        split_loop(z2ball, Loop(z2.identity(), (0, 1)))  # a a^, length 2
+        split_loop(z2ball, Loop(z2.identity(), (0, 1)),  # a a^, length 2
+                   DistanceRows(z2ball))
 
 
 def test_split_loop_rejects_open_path(z2, z2ball):
     with pytest.raises(InputError):
-        split_loop(z2ball, Loop(z2.identity(), (0, 0, 2, 2)))  # a a b b
+        split_loop(z2ball, Loop(z2.identity(), (0, 0, 2, 2)),  # a a b b
+                   DistanceRows(z2ball))
 
 
 def test_split_loop_degenerate_marked_vertices(z2, z2ball):
     # a back-and-forth loop revisits the base at both split offsets
     w = (0, 1) * 6  # (a a^)^6
-    split = split_loop(z2ball, Loop(z2.identity(), w))
+    split = split_loop(z2ball, Loop(z2.identity(), w), DistanceRows(z2ball))
     for child in split.children:
         assert z2.evaluate(child.word) == z2.identity()
         assert len(child.word) < len(w)
@@ -127,6 +132,73 @@ def test_fill_adaptive_policy_always_terminates(z2, z2ball):
     tree = fill(z2ball, commutator(z2, 4), adaptive(1))
     assert tree.threshold >= 2
     assert tree.max_leaf_length <= tree.threshold
+
+
+@pytest.mark.parametrize("name,lengths", [("z2-std", (16, 24)),
+                                          ("z2-abc", (16, 24)),
+                                          ("heisenberg", (10, 12))])
+def test_fill_shared_cache_matches_fresh_caches(monkeypatch, name, lengths):
+    group = get_group(name)
+    draw = build_ball(group, max(lengths) // 2)
+    words = [random_identity_word(group, n, seed, ball=draw)
+             for n in lengths for seed in range(4)]
+    if canonical_identity_word(group, 8) is not None:
+        words += [commutator(group, k) for k in range(2, 6)]
+    else:
+        # Heisenberg commutators are central, so these are identities
+        ab = group.alphabet
+
+        def comm(u, v):
+            return concat(u, v, invert(ab, u), invert(ab, v))
+
+        a, b = (0,), (2,)
+        words += [comm(comm(a, b), a), comm(comm(a, b), b * 2),
+                  free_reduce(ab, comm(a, b * 2) + invert(ab, comm(a * 2, b)))]
+        assert {group.evaluate(w) for w in words} == {group.identity()}
+    # every fill here ends at threshold 8 or less, so none grows the ball
+    ball = build_ball(group, max(fill_ball_radius(group, w, 8)
+                                 for w in words))
+    caches = {}
+    split = vankampen.split_loop
+
+    def recording(b, loop, rows):
+        caches[id(rows)] = (b, rows)
+        return split(b, loop, rows)
+
+    monkeypatch.setattr(vankampen, "split_loop", recording)
+    shared = [fill(ball, w) for w in words]
+    assert sum(t.leaf_count > 1 for t in shared) >= 3
+    for b, rows in caches.values():
+        for u, row in rows.items():
+            for v, d2 in row.items():
+                assert d2 == 2 * b.vertex_distance(u, v)
+
+    monkeypatch.setattr(vankampen, "split_loop",
+                        lambda b, loop, rows: split(b, loop, DistanceRows(b)))
+    assert [fill(ball, w) for w in words] == shared
+
+
+def test_fill_cache_bound_keeps_results(monkeypatch, z2, z2ball):
+    # a fill whose cache outgrows the bound goes on with a fresh one, and
+    # the dropped caches are freed without waiting for the cycle collector
+    w = commutator(z2, 10)
+    unbounded = fill(z2ball, w)
+    made = []
+    init = DistanceRows.__init__
+
+    def counted(self, b):
+        made.append(weakref.ref(self))
+        init(self, b)
+
+    monkeypatch.setattr(DistanceRows, "__init__", counted)
+    monkeypatch.setattr(ldelta, "_CACHE_ENTRIES", 200)
+    gc.disable()
+    try:
+        assert fill(z2ball, w) == unbounded
+        assert len(made) > 5
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 # -- conjugate product ------------------------------------------------------
@@ -211,36 +283,46 @@ def test_dehn_scan_thread_invariance():
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
-    # one scan ball of radius 24 // 2 + 24 + 4; the n = 24 commutator
+    # the words are drawn from a ball of radius 24 // 2, grown to the
+    # largest fill_ball_radius 24 // 2 + 24 + 4; the n = 24 commutator
     # needs threshold 8, so its fill grows that ball to 24 // 2 + 24 + 8
     radii = []
 
-    def recording_build(group, radius, *args):
+    def recording_build(group, radius, *args, **kwargs):
         radii.append(radius)
-        return build_ball(group, radius, *args)
+        return build_ball(group, radius, *args, **kwargs)
 
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0,
                      threads=threads)
-    assert sorted(radii) == [40, 44]
+    assert sorted(radii) == [12, 40, 44]
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
 
 
 def test_dehn_scan_resumes_at_grown_threshold(monkeypatch):
-    calls = [0]
+    calls, distances = [0], [0]
     split = vankampen.split_loop
+    vertex_distance = BallIndex.vertex_distance
 
-    def counted(ball, loop):
+    def counted(ball, loop, rows):
         calls[0] += 1
-        return split(ball, loop)
+        return split(ball, loop, rows)
+
+    def counted_distance(self, u, v):
+        distances[0] += 1
+        return vertex_distance(self, u, v)
 
     monkeypatch.setattr(vankampen, "split_loop", counted)
+    monkeypatch.setattr(BallIndex, "vertex_distance", counted_distance)
     scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0)
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
-    # restarting each rebuilt fill at t0 = 4 made 73 calls
-    assert calls[0] < 73
+    # restarting each rebuilt fill at t0 = 4 made 73 calls; a fresh cache
+    # per split and a split per loop per restart made 50 calls and 2,838
+    # distances
+    assert calls[0] <= 46
+    assert distances[0] <= 2_000
 
 
 def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
@@ -248,14 +330,34 @@ def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
     # radius-t0 ball fills it; n // 2 + n + t0 = 16 exceeds the vertex cap
     radii = []
 
-    def recording_build(group, radius, *args):
+    def recording_build(group, radius, *args, **kwargs):
         radii.append(radius)
-        return build_ball(group, radius, *args)
+        return build_ball(group, radius, *args, **kwargs)
 
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("f2"), [8, 12], 2, adaptive(4), seed=0)
     assert radii == [4]
     assert scan.records == [(8, 2, 1, Fraction(1)), (12, 2, 1, Fraction(1))]
+
+
+def test_dehn_scan_heisenberg_sizes_ball_to_its_words(monkeypatch):
+    # the records are those of a scan on one ball of radius 28; sized to
+    # its words, the scan builds radius 8 and grows it to 19, and fills
+    # that raise the threshold to 8 grow that to at most 23
+    radii = []
+
+    def recording_build(group, radius, *args, **kwargs):
+        radii.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    monkeypatch.setattr(vankampen, "build_ball", recording_build)
+    scan = dehn_scan(get_group("heisenberg"), [8, 12, 16], 5, adaptive(4),
+                     seed=0)
+    assert scan.records == [(8, 5, 1, Fraction(1)), (12, 5, 1, Fraction(1)),
+                            (16, 5, 3, Fraction(7, 5))]
+    assert scan.slope == 1.4809338379276697
+    assert scan.threshold == 8
+    assert max(radii) == 23
 
 
 def test_dehn_scan_builds_one_ball_by_bfs():
