@@ -19,10 +19,12 @@ the ball reaches its target.
 Vertex-to-vertex distances follow one rule: d(u, v) is the word norm of
 u^-1 v, a single table lookup, when the group knows that norm in closed
 form or u^-1 v lies in the ball, and FAR otherwise, never an in-ball
-estimate.  A candidate that reads FAR loses; callers that report a value
-build the margin their points need (ldelta.recommended_ball_radius,
-vankampen.fill_ball_radius).  Lookups are not cached here beyond the
-inverses: the median search in ldelta caches distances in its own rows.
+estimate.  A candidate that reads FAR loses.  estimate_delta and the
+median CLI build the margin their points need
+(ldelta.recommended_ball_radius); vankampen.fill instead grows its ball
+whenever a search reads past the edge (BallTooSmall).  Lookups are not
+cached here beyond the inverses: the median search in ldelta caches
+distances in its own rows.
 
 Distances may take half-integer values: the geometric realization admits
 edge midpoints ("half-edge points").  A point's ends are its vertex, or
@@ -36,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ResourceError
+from .errors import BallTooSmall, InputError, ResourceError
 from .groups import Element, Group
 from .words import Word
 
@@ -256,7 +258,7 @@ class BallIndex:
             return w
         vid = self.index.get(e)
         if vid is None:
-            raise InputError("element outside ball")
+            raise BallTooSmall("element outside ball")
         letters: list[int] = []
         while vid != self.identity_id:
             gen = self.parent_gen[vid]
@@ -265,15 +267,16 @@ class BallIndex:
         return tuple(reversed(letters))
 
     def vertex_geodesic_word(self, u: int, v: int) -> Word:
-        """word_to(u^-1 v), a geodesic word from vertex u to vertex v; an
-        input error when its path from u leaves the ball."""
+        """word_to(u^-1 v), a geodesic word from vertex u to vertex v;
+        BallTooSmall when u^-1 v or its path from u leaves the ball."""
         w = self.word_to(self.group.multiply(self._inv_element(u),
                                              self.elements[v]))
         cur = u
         for gen in w:
             cur = self.adj[cur][gen]
             if cur < 0:
-                raise InputError("geodesic leaves the ball; build a larger one")
+                raise BallTooSmall("geodesic leaves the ball; build a "
+                                   "larger one")
         return w
 
     def _bfs_from(self, source: int, target: int,

@@ -182,7 +182,8 @@ def cmd_fill(args) -> int:
         policy = adaptive()
     else:
         policy = fixed(int(args.threshold))
-    # fill checks the word first, then grows the ball to the radius it needs
+    # fill checks the word first, then grows the ball whenever it reads
+    # past the edge
     ball = build_ball(group, 0)
     tree = fill(ball, w, policy)
 

@@ -15,8 +15,15 @@ class InputError(CayleyLabError):
     setting too small for it."""
 
 
+class BallTooSmall(InputError):
+    """A point, path or distance lies beyond the ball at hand.
+
+    vankampen.fill takes this as its signal to grow the ball and retry;
+    elsewhere it is an input error like any other."""
+
+
 class ResourceError(CayleyLabError):
-    """A resource cap was hit, or a loop leaves the ball at hand."""
+    """A resource cap was hit."""
 
 
 class InternalError(CayleyLabError):

@@ -34,9 +34,9 @@ midpoint's row is read from its ends' rows, and one seed geodesic per
 point pair is kept as well.  The shell scan fills a vertex x's row as it
 goes: the candidate t = x s for s on shell m lies at distance m from x.
 median() makes a fresh cache per call; estimate_delta shares one across
-its triples and vankampen.fill one across its splits, and bounded_rows
-starts both afresh past _CACHE_ENTRIES distances (about 45 bytes each).
-None computes a full row.
+its triples and vankampen.fill a FillRows one across its splits, and
+bounded_rows starts both afresh past _CACHE_ENTRIES distances (about 45
+bytes each).  None computes a full row.
 
 estimate_delta is one serial loop with a running cap, the largest slack
 so far.  Two skips leave its output that of one search per triple:
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ball import FAR, HALF, VERTEX, BallIndex, Point
-from .errors import InputError
+from .errors import BallTooSmall, InputError
 
 EXHAUSTIVE_TRIPLE_CAP = 10 ** 7
 DEFAULT_FORCED_SAMPLES = 100_000
@@ -122,6 +122,21 @@ class _MidRow(dict):
         return d2
 
 
+class _FillRow(_Row):
+    """A _Row that raises BallTooSmall where it would hold FAR; its body
+    repeats _Row's, as a call to it costs a frame per distance."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        d = self.ball.vertex_distance(self.u, v)
+        if d == FAR:
+            raise BallTooSmall("a distance read lies beyond the ball")
+        d2 = self[v] = 2 * d
+        self.held[0] += 1
+        return d2
+
+
 class DistanceRows(dict):
     """rows[u][v] == 2 * ball.vertex_distance(u, v), computed on first use.
 
@@ -131,6 +146,8 @@ class DistanceRows(dict):
     cell rather than point back here, so a dropped cache is freed at once.
     """
 
+    _row = _Row
+
     def __init__(self, ball: BallIndex):
         super().__init__()
         self.ball = ball
@@ -139,7 +156,7 @@ class DistanceRows(dict):
         self.walks: dict[tuple[Point, Point], tuple[int, ...]] = {}
 
     def __missing__(self, u: int) -> _Row:
-        row = self[u] = _Row(self.ball, u, self.held)
+        row = self[u] = self._row(self.ball, u, self.held)
         return row
 
     def point_row(self, p: Point) -> _Row | _MidRow:
@@ -166,10 +183,25 @@ class DistanceRows(dict):
         return self.walks[key]
 
 
+class FillRows(DistanceRows):
+    """DistanceRows on which a search's result does not depend on the ball.
+
+    A search with t_halves=False on these rows raises BallTooSmall where
+    a larger ball could change its result: at a FAR read, an index miss
+    in a scanned shell, or a shell scan that runs out at the radius
+    (unless no edge leaves the ball).  Otherwise it reads the same
+    shells, ids and exact distances on every larger ball, as vertex ids
+    are a BFS prefix, and returns the same point.  vankampen.fill grows
+    its ball on the signal.
+    """
+
+    _row = _FillRow
+
+
 def bounded_rows(rows: DistanceRows) -> DistanceRows:
-    """rows, or a fresh cache on its ball once rows holds more than
-    _CACHE_ENTRIES distances and walks."""
-    return DistanceRows(rows.ball) if rows.held[0] > _CACHE_ENTRIES else rows
+    """rows, or a fresh cache of its kind on its ball once rows holds more
+    than _CACHE_ENTRIES distances and walks."""
+    return type(rows)(rows.ball) if rows.held[0] > _CACHE_ENTRIES else rows
 
 
 def _d2(p: Point, p_row, q: Point, q_row) -> int:
@@ -297,8 +329,9 @@ class _MedianSearch:
         index_get = ball.index.get
         # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
         xr = self.xr if self.x.kind == VERTEX else None
+        strict = isinstance(self.rows, FillRows)
         m = 0
-        while m <= ball.radius:
+        while True:
             if prune:
                 # any improver satisfies 2 d(x,t) <= min(dxy2 + slack2, best dx2),
                 # and shell-m candidates all have 2 d(x,t) >= 2(m-1)
@@ -306,9 +339,17 @@ class _MedianSearch:
                              self.best_key[1])
                 if 2 * (m - 1) > bound2:
                     break
+            if m > ball.radius:
+                # a larger ball would scan on, unless no edge leaves this one
+                if strict and any(-1 in ball.adj[u]
+                                  for u in ball.shell(ball.radius)):
+                    raise BallTooSmall("the shell scan ran out at the radius")
+                break
             for sid in ball.shell(m):
                 tid = index_get(mult(anchor_elem, elements[sid]))
                 if tid is None:
+                    if strict:
+                        raise BallTooSmall("a scanned shell leaves the ball")
                     continue
                 if xr is not None and tid not in xr:
                     xr[tid] = 2 * m

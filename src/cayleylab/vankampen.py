@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ball import BallIndex, Point, build_ball
-from .errors import InputError, InternalError, ResourceError
+from .errors import BallTooSmall, InputError, InternalError
 from .groups import Group, ZnGroup
-from .ldelta import DistanceRows, bounded_rows, median
+from .ldelta import DistanceRows, FillRows, bounded_rows, median
 from .words import Word, concat, free_reduce, invert
 
 SUBCUBIC_EXPONENT = 1.0 / (1.0 - math.log(2, 3))  # about 2.7095
@@ -82,6 +82,8 @@ class SubdivisionTree:
     depth: int
     leaf_count: int
     max_leaf_length: int
+    # the ball the fill ended on, grown from the one it was given
+    ball: BallIndex = field(compare=False, repr=False)
 
 
 @dataclass
@@ -114,12 +116,12 @@ def _loop_vertices(ball: BallIndex, loop: Loop) -> list[int]:
     """Vertex ids along the loop; the walk must close up inside the ball."""
     vid = ball.index.get(loop.base)
     if vid is None:
-        raise ResourceError("loop base outside the ball")
+        raise BallTooSmall("loop base outside the ball")
     ids = [vid]
     for gen in loop.word:
         vid = ball.adj[vid][gen]
         if vid < 0:
-            raise ResourceError("loop leaves the ball; use a larger radius")
+            raise BallTooSmall("loop leaves the ball; use a larger radius")
         ids.append(vid)
     if ids[-1] != ids[0]:
         raise InputError("loop word does not evaluate to the identity")
@@ -143,7 +145,8 @@ def split_loop(ball: BallIndex, loop: Loop,
     median search.  The search reads and fills `rows`, a distance cache
     on the ball, and skips median's point checks: the loop's walk put the
     marked vertices in the ball, and the search runs only when they are
-    distinct.
+    distinct.  BallTooSmall means the loop or a geodesic leaves the ball,
+    or, on FillRows, that a larger ball could change the median.
     """
     word = loop.word
     n = len(word)
@@ -181,35 +184,30 @@ def split_loop(ball: BallIndex, loop: Loop,
     return SplitResult(tuple(children), conjs)
 
 
-def fill_ball_radius(group: Group, w: Word, threshold: int) -> int:
-    """A radius keeping every split vertex, median and geodesic exact."""
-    max_norm = 0
-    if group.exact_norm(group.identity()) is not None:
-        e = group.identity()
-        for gen in w:
-            e = group.apply(e, gen)
-            max_norm = max(max_norm, group.exact_norm(e))
-    else:
-        # a loop's prefix is reachable forwards or backwards, so its
-        # norm never exceeds half the loop length
-        max_norm = len(w) // 2
-    return max_norm + len(w) + threshold
-
-
 class _Splits(dict):
     """split_loop(ball, loop) by loop, made on first use; the median
-    searches of the splits share one distance cache.  A ContractionError
-    propagates and is never stored."""
+    searches of the splits share one FillRows cache.  A ContractionError
+    or BallTooSmall propagates and is never stored."""
 
     def __init__(self, ball: BallIndex):
         super().__init__()
         self.ball = ball
-        self.rows = DistanceRows(ball)
+        self.rows = FillRows(ball)
 
     def __missing__(self, loop: Loop) -> SplitResult:
         self.rows = bounded_rows(self.rows)
         split = self[loop] = split_loop(self.ball, loop, self.rows)
         return split
+
+    def grow(self) -> None:
+        """Move to a ball a quarter larger in radius, and at least 4.
+
+        The splits made so far read nothing beyond their ball, so they
+        stand on the larger one; the distance cache starts afresh on it."""
+        r = self.ball.radius
+        self.ball = build_ball(self.ball.group, r + max(r // 4, 4),
+                               self.ball.max_vertices, self.ball)
+        self.rows = FillRows(self.ball)
 
 
 def _fill_once(splits: _Splits, loop: Loop, threshold: int,
@@ -236,15 +234,19 @@ def fill(ball: BallIndex, w: Word,
     The fixed policy raises ContractionError on a contraction failure;
     the adaptive policy doubles T (at least to the offending length) and
     restarts, so it always terminates: once T reaches |w| the root is a
-    leaf.  Whenever fill_ball_radius(group, w, T) exceeds the ball's
-    radius, the fill grows the ball to it (build_ball with the ball as
-    source) and goes on at the same T.  Vertex ids are a BFS prefix and
-    every distance the fill reads is exact within that radius, so the
-    result does not depend on how large the ball it was given is.
+    leaf.
 
-    On each ball it fills on, the fill keeps one distance cache for its
-    median searches and one table of the splits it made, so a restart
-    splits no loop twice; both start afresh when the ball grows.
+    The fill starts on the ball it is given, of any radius.  Whenever a
+    loop, a geodesic or a median search reads past that ball's edge
+    (BallTooSmall, see ldelta.FillRows), it grows the ball by resuming
+    its BFS (build_ball with the ball as source) and retries at the same
+    T; the tree's `ball` is the one it ended on.  Every split it keeps
+    read nothing beyond its ball, so the result does not depend on how
+    large the ball it was given is.
+
+    The fill keeps one table of the splits it made, so neither a restart
+    nor a growth splits a loop twice, and one distance cache for its
+    median searches, which starts afresh when the ball grows.
     """
     group = ball.group
     w = free_reduce(group.alphabet, tuple(w))
@@ -256,18 +258,17 @@ def fill(ball: BallIndex, w: Word,
     root_loop = Loop(group.identity(), w)
     splits = _Splits(ball)
     while True:
-        needed = fill_ball_radius(group, w, threshold)
-        if ball.radius < needed:
-            ball = build_ball(group, needed, ball.max_vertices, ball)
-            splits = _Splits(ball)
         try:
             root, depth, leaves, max_len = _fill_once(splits, root_loop,
                                                       threshold, 0)
-            return SubdivisionTree(root, threshold, depth, leaves, max_len)
+            return SubdivisionTree(root, threshold, depth, leaves, max_len,
+                                   splits.ball)
         except ContractionError as exc:
             if policy.kind == "fixed":
                 raise
             threshold = max(2 * threshold, len(exc.child.word))
+        except BallTooSmall:
+            splits.grow()
 
 
 def to_conjugate_product(ball: BallIndex, tree: SubdivisionTree,
@@ -352,12 +353,11 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     absent with fewer than two distinct lengths.  The fills run serially
     in (length, sample index) order; `threads` is accepted and ignored.
 
-    Every word is filled on one ball.  A group without closed-form
-    geodesics draws its words from the ball of radius n // 2 for the
-    largest length n, where random_identity_word walks back.  The scan
-    then builds, or grows by resuming that BFS, a ball of the largest
-    `fill_ball_radius` of the words.  A fill whose adaptive threshold
-    outgrows the ball grows its own (see fill).
+    A group without closed-form geodesics draws its words from the ball
+    of radius n // 2 for the largest length n, where random_identity_word
+    walks back; other groups start from the radius-0 ball.  The fills
+    start on that ball, and each fill that reads past its edge grows it
+    (see fill) for itself and every later fill.
     """
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
@@ -366,18 +366,15 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     if len({n for n, _, _ in tasks}) < len(lengths):
         raise InputError("every scan length needs a word; sample at least one")
 
-    ball = None
-    if group.geodesic_word(group.identity()) is None:
-        ball = build_ball(group, lengths[-1] // 2)
+    closed_form = group.geodesic_word(group.identity()) is not None
+    ball = build_ball(group, 0 if closed_form else lengths[-1] // 2)
     words = [canonical_identity_word(group, n) if kind == "commutator"
              else random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
              for n, s, kind in tasks]
-    needed = max(fill_ball_radius(group, w, policy.t0) for w in words)
-    if ball is None or ball.radius < needed:
-        ball = build_ball(group, needed, source=ball)
     results = []
     for (n, s, _), w in zip(tasks, words):  # in (length, sample) order
         tree = fill(ball, w, policy)
+        ball = tree.ball
         results.append((n, s, tree.leaf_count, tree.threshold))
 
     records = []

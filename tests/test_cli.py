@@ -284,3 +284,34 @@ def test_payload_thread_invariance(argv, capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+# stdout from before fills grew their ball on demand, when the first of
+# these built a radius-46 ball of 1.9M vertices and took 18 s
+FROZEN_PAYLOADS = [
+    (["fill", "--group", "heisenberg", "--word",
+      "a,a,b,b,a^,a^,b^,b^,a,a,b,b,a,a,b^,b^,a^,a^,a^,a^", "--emit", "tree"],
+     "threshold=16 depth=1 leaves=3 max_leaf=14\n"
+     "split n=20 base=(0,0,0)\n"
+     "  leaf n=14 base=(0,0,0)\n"
+     "  leaf n=14 base=(0,2,4)\n"
+     "  leaf n=14 base=(4,2,8)\n"),
+    (["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16"],
+     "n,samples,max_cells,mean_cells\n8,10,1,1/1\n12,10,3,6/5\n"
+     "16,10,3,7/5\nslope,1.6588\nreference,2.7095\nthreshold,16\n"),
+    (["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16",
+      "--samples", "5"],
+     "n,samples,max_cells,mean_cells\n8,5,1,1/1\n12,5,1,1/1\n16,5,3,7/5\n"
+     "slope,1.4809\nreference,2.7095\nthreshold,8\n"),
+    (["dehn-scan", "--group", "z2-abc", "--lengths", "8,12", "--samples",
+      "5"],
+     "n,samples,max_cells,mean_cells\n8,6,3,5/3\n12,6,7,8/3\n"
+     "slope,2.0897\nreference,2.7095\nthreshold,8\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FROZEN_PAYLOADS)
+def test_fill_payloads_do_not_depend_on_ball_sizing(argv, expected, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected

@@ -525,3 +525,22 @@ def test_domain_points_respect_radius(z2ball):
         for dom in ("vertices", "half"):
             for p in domain_points(z2ball, r, dom):
                 assert z2ball.point_norm(p) <= r
+
+
+def test_estimate_delta_reads_far_at_its_margin(monkeypatch):
+    # the search of estimate_delta prices candidates beyond the ball as
+    # FAR and goes on; only vankampen.fill's rows signal them
+    group = get_group("z2-abc")
+    ball = build_ball(group, recommended_ball_radius(group, 5))
+    far = [0]
+    vertex_distance = BallIndex.vertex_distance
+
+    def counted(self, u, v):
+        d = vertex_distance(self, u, v)
+        far[0] += d == FAR
+        return d
+
+    monkeypatch.setattr(BallIndex, "vertex_distance", counted)
+    est = estimate_delta(ball, 5, domain="vertices", sampling="exhaustive")
+    assert est.value == 3
+    assert far[0] > 0

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 
 from cayleylab import ldelta, vankampen
-from cayleylab.ball import BallIndex, build_ball
-from cayleylab.errors import InputError
+from cayleylab.ball import BallIndex, Point, build_ball
+from cayleylab.errors import BallTooSmall, InputError
 from cayleylab.groups import get_group
-from cayleylab.ldelta import DistanceRows
+from cayleylab.ldelta import DistanceRows, FillRows, median
 from cayleylab.vankampen import (SUBCUBIC_EXPONENT, ContractionError, Loop,
                                  adaptive, canonical_identity_word, dehn_scan,
-                                 fill, fill_ball_radius, fixed,
-                                 random_identity_word, split_loop,
-                                 to_conjugate_product, trisection_cells)
+                                 fill, fixed, random_identity_word,
+                                 split_loop, to_conjugate_product,
+                                 trisection_cells)
 from cayleylab.words import concat, free_reduce, invert
+from test_cli import Z2_RULES
 
 
 @pytest.fixture(scope="module")
@@ -93,9 +94,7 @@ def test_fill_trivial_single_leaf(z2, z2ball):
 def test_fill_free_group_word_reduces_away():
     group = get_group("f2")
     w = group.alphabet.parse_word("a,b,b^,a^")
-    ball = build_ball(group, fill_ball_radius(
-        group, free_reduce(group.alphabet, w), 4))
-    tree = fill(ball, w, fixed(4))
+    tree = fill(build_ball(group, 2), w, fixed(4))
     assert tree.leaf_count == 1
     assert tree.root.loop.word == ()
 
@@ -155,9 +154,9 @@ def test_fill_shared_cache_matches_fresh_caches(monkeypatch, name, lengths):
         words += [comm(comm(a, b), a), comm(comm(a, b), b * 2),
                   free_reduce(ab, comm(a, b * 2) + invert(ab, comm(a * 2, b)))]
         assert {group.evaluate(w) for w in words} == {group.identity()}
-    # every fill here ends at threshold 8 or less, so none grows the ball
-    ball = build_ball(group, max(fill_ball_radius(group, w, 8)
-                                 for w in words))
+    # a fill that grows the ball starts a cache on the grown one; each
+    # cache is checked against its own ball
+    ball = build_ball(group, max(lengths))
     caches = {}
     split = vankampen.split_loop
 
@@ -174,7 +173,7 @@ def test_fill_shared_cache_matches_fresh_caches(monkeypatch, name, lengths):
                 assert d2 == 2 * b.vertex_distance(u, v)
 
     monkeypatch.setattr(vankampen, "split_loop",
-                        lambda b, loop, rows: split(b, loop, DistanceRows(b)))
+                        lambda b, loop, rows: split(b, loop, FillRows(b)))
     assert [fill(ball, w) for w in words] == shared
 
 
@@ -283,9 +282,8 @@ def test_dehn_scan_thread_invariance():
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
-    # the words are drawn from a ball of radius 24 // 2, grown to the
-    # largest fill_ball_radius 24 // 2 + 24 + 4; the n = 24 commutator
-    # needs threshold 8, so its fill grows that ball to 24 // 2 + 24 + 8
+    # the words are drawn from a ball of radius 24 // 2, and the fills
+    # grow it on demand, by a quarter of its radius and at least 4
     radii = []
 
     def recording_build(group, radius, *args, **kwargs):
@@ -295,7 +293,7 @@ def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0,
                      threads=threads)
-    assert sorted(radii) == [12, 40, 44]
+    assert sorted(radii) == [12, 16]
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
 
@@ -326,8 +324,9 @@ def test_dehn_scan_resumes_at_grown_threshold(monkeypatch):
 
 
 def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
-    # every f2 identity word freely reduces to the empty word, so a
-    # radius-t0 ball fills it; n // 2 + n + t0 = 16 exceeds the vertex cap
+    # f2 has closed-form geodesics, so the scan starts on the radius-0
+    # ball; every f2 identity word freely reduces to the empty word, which
+    # fills without a split
     radii = []
 
     def recording_build(group, radius, *args, **kwargs):
@@ -336,14 +335,13 @@ def test_dehn_scan_f2_sizes_balls_to_its_words(monkeypatch):
 
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("f2"), [8, 12], 2, adaptive(4), seed=0)
-    assert radii == [4]
+    assert radii == [0]
     assert scan.records == [(8, 2, 1, Fraction(1)), (12, 2, 1, Fraction(1))]
 
 
 def test_dehn_scan_heisenberg_sizes_ball_to_its_words(monkeypatch):
-    # the records are those of a scan on one ball of radius 28; sized to
-    # its words, the scan builds radius 8 and grows it to 19, and fills
-    # that raise the threshold to 8 grow that to at most 23
+    # the records are those of a scan on one ball of radius 28; every
+    # fill stays on the radius-8 ball the scan draws its words from
     radii = []
 
     def recording_build(group, radius, *args, **kwargs):
@@ -357,7 +355,7 @@ def test_dehn_scan_heisenberg_sizes_ball_to_its_words(monkeypatch):
                             (16, 5, 3, Fraction(7, 5))]
     assert scan.slope == 1.4809338379276697
     assert scan.threshold == 8
-    assert max(radii) == 23
+    assert radii == [8]
 
 
 def test_dehn_scan_builds_one_ball_by_bfs():
@@ -383,19 +381,118 @@ def test_dehn_scan_needs_a_word_per_length():
         dehn_scan(get_group("f2"), [8, 12], 0, adaptive(4))
 
 
-def test_fill_ball_radius_formula(z2):
-    w = commutator(z2, 4)  # norms along the loop reach 8
-    assert fill_ball_radius(z2, w, 4) == len(w) // 2 + len(w) + 4
-    f2 = get_group("f2")
-    ww = f2.alphabet.parse_word("a,a,a^,a^")
-    assert fill_ball_radius(f2, ww, 4) == 2 + 4 + 4
-
-
 def test_fill_grows_an_undersized_ball(z2, z2ball):
-    # radius 4 is below fill_ball_radius for every word here; the fill
-    # grows its own ball and matches the one made on ball 64
+    # from k = 3 on, the words leave the radius-4 ball; the fill grows its
+    # own ball and matches the one made on ball 64
     small = build_ball(z2, 4)
     for k in range(2, 9):
         w = commutator(z2, k)
         assert fill(small, w, adaptive(4)) == fill(z2ball, w, adaptive(4))
     assert small.radius == 4
+
+
+# -- growth on demand -------------------------------------------------------
+
+def heisenberg_hard_word(group, j):
+    """[[a^j, b^j], a^j], of length 10j; its area grows like j^3."""
+    a, b = (0,) * j, (2,) * j
+    ab = group.alphabet
+
+    def comm(u, v):
+        return concat(u, v, invert(ab, u), invert(ab, v))
+
+    return comm(comm(a, b), a)
+
+
+def search_on_fill_rows(ball, x, y, z):
+    return median(ball, *(ball.point_of_element(e) for e in (x, y, z)),
+                  t_halves=False, _rows=FillRows(ball))
+
+
+@pytest.mark.parametrize("name,radius,triple,cause", [
+    # from x = a, the shell-2 candidate a a a lies at norm 3
+    ("f2", 2, ((0,), (1,), (2,)), "a scanned shell leaves the ball"),
+    ("z2-std", 2, ((0, 0), (1, 0), (2, 0)),
+     "a distance read lies beyond the ball"),
+    ("z2-std", 2, ((2, 0), (1, 1), (1, -1)), "geodesic leaves the ball"),
+])
+def test_fill_search_signals_a_small_ball(name, radius, triple, cause):
+    group = get_group(name)
+    with pytest.raises(BallTooSmall, match=cause):
+        search_on_fill_rows(build_ball(group, radius), *triple)
+    big = build_ball(group, 3 * radius)
+    assert search_on_fill_rows(big, *triple) == \
+        median(big, *(big.point_of_element(e) for e in triple),
+               t_halves=False)
+
+
+def test_fill_search_signals_a_scan_that_runs_out(tmp_path):
+    # from x = 1 no shell leaves the ball and f2 norms are exact, so an
+    # unpruned scan runs out at the radius; with the prune bound it stops
+    # first
+    f2 = get_group("f2")
+    ball = build_ball(f2, 2)
+    pts = [ball.point_of_element(e) for e in ((), (0,), (2,))]
+    with pytest.raises(BallTooSmall, match="ran out at the radius"):
+        median(ball, *pts, t_halves=False, prune=False, _rows=FillRows(ball))
+    assert search_on_fill_rows(ball, (), (0,), (2,)).t == pts[0]
+    # no edge leaves a ball that is the whole group: Z/5 within radius 2
+    path = tmp_path / "c5.grp"
+    path.write_text("generators: a\norder: a a^\n"
+                    "a a a -> a^ a^\na^ a^ a^ -> a a\n")
+    c5 = get_group(str(path))
+    ball = build_ball(c5, 2)
+    assert len(ball) == 5
+    pts = [Point.vertex(v) for v in range(3)]
+    assert median(ball, *pts, t_halves=False, prune=False,
+                  _rows=FillRows(ball)) == \
+        median(ball, *pts, t_halves=False, prune=False)
+
+
+def test_split_loop_signals_a_loop_beyond_the_ball(z2):
+    ball = build_ball(z2, 2)
+    with pytest.raises(BallTooSmall, match="loop leaves the ball"):
+        split_loop(ball, Loop(z2.identity(), commutator(z2, 3)),
+                   FillRows(ball))
+
+
+@pytest.mark.parametrize("name,big", [("z2-std", 24), ("z2-abc", 24),
+                                      ("heisenberg", 20), ("rules", 24)])
+def test_fill_does_not_depend_on_the_start_radius(tmp_path, name, big):
+    if name == "rules":  # the README's Z^2 definition file
+        name = str(tmp_path / "z2.grp")
+        (tmp_path / "z2.grp").write_text(Z2_RULES)
+    group = get_group(name)
+    ab = group.alphabet
+    draw = build_ball(group, 8)
+    words = [random_identity_word(group, 16, seed, ball=draw)
+             for seed in range(4)]
+    if name == "heisenberg":
+        words += [heisenberg_hard_word(group, 1), heisenberg_hard_word(group, 2)]
+    else:
+        words.append(ab.parse_word("a,a,a,a,b,b,b,b,a^,a^,a^,a^,b^,b^,b^,b^"))
+    starts = [build_ball(group, 0)]
+    for r in range(1, 13):  # past the radius every fill here ends on
+        starts.append(build_ball(group, r, source=starts[-1]))
+    large = build_ball(group, big, source=starts[-1])
+    for w in words:
+        tree = fill(large, w, adaptive(4))
+        assert tree.ball is large  # the large ball needs no growth
+        for ball in starts:
+            assert fill(ball, w) == tree
+
+
+def test_fill_heisenberg_hard_words_from_a_radius_0_ball():
+    # a ball of the old up-front radius, max prefix norm + |w| + T, for
+    # these words exceeds the 2,000,000-vertex cap
+    group = get_group("heisenberg")
+    w3, w4 = (heisenberg_hard_word(group, j) for j in (3, 4))
+    tree = fill(build_ball(group, 0), w3)
+    assert (len(w3), tree.threshold, tree.leaf_count) == (30, 16, 9)
+    tree = fill(build_ball(group, 0), w4, adaptive(4))
+    assert (len(w4), tree.threshold, tree.leaf_count) == (40, 24, 9)
+    assert tree.ball.radius == 20
+    # a fill on the grown ball equals the one from radius 0
+    assert fill(tree.ball, w4, fixed(20)).leaf_count == 13
+    with pytest.raises(ContractionError):
+        fill(tree.ball, w4, fixed(16))

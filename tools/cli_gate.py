@@ -1,0 +1,206 @@
+"""CLI byte-identity gate between two checkouts of cayleylab.
+
+    python3 tools/cli_gate.py PARENT CHANGE
+
+PARENT and CHANGE are repository roots.  Every configuration below runs
+as `python -m cayleylab.cli ...` once per tree, with that tree's `src`
+on PYTHONPATH, one process at a time.  The gate compares stdout, the
+exit code and stderr without its `duration_s=` line.  It prints one line
+per configuration and exits 1 if any differ.  A configuration the parent
+does not finish within the timeout is reported and not compared.
+Stdlib only.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+TIMEOUT_S = 120
+
+Z2_RULES = """\
+# Z^2 on a, b
+generators: a b
+order: a a^ b b^
+b a -> a b
+b a^ -> a^ b
+b^ a -> a b^
+b^ a^ -> a^ b^
+"""
+
+BAD_RULES = """\
+generators: a b
+order: a a^ b b^
+b a -> a b
+b b -> a a
+"""
+
+# [[a^j, b^j], a^j] in the Heisenberg group, |w| = 10j
+HEIS_W1 = "a,b,a^,b^,a,b,a,b^,a^,a^"
+HEIS_W2 = "a,a,b,b,a^,a^,b^,b^,a,a,b,b,a,a,b^,b^,a^,a^,a^,a^"
+
+
+def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
+    z2c = "a,a,b,b,a^,a^,b^,b^"
+    return [
+        # ball
+        ["ball", "--group", "f2", "--radius", "2"],
+        ["ball", "--group", "z2-std", "--radius", "1", "--dot"],
+        ["ball", "--group", "z2-abc", "--radius", "2"],
+        ["ball", "--group", "heisenberg", "--radius", "2"],
+        ["ball", "--group", z2_file, "--radius", "2"],
+        # delta
+        ["delta", "--group", "z2-std", "--radius", "4", "--domain",
+         "vertices", "--exhaustive", "--json"],
+        ["delta", "--group", "z2-std", "--radius", "6", "--domain", "half",
+         "--samples", "20000", "--seed", "0"],
+        ["delta", "--group", "z2-std", "--radius", "3", "--domain", "half",
+         "--exhaustive"],
+        ["delta", "--group", "z2-abc", "--radius", "4", "--domain",
+         "vertices", "--exhaustive"],
+        ["delta", "--group", "z2-abc", "--radius", "3", "--domain", "half",
+         "--exhaustive", "--json"],
+        ["delta", "--group", "heisenberg", "--radius", "3", "--domain",
+         "vertices", "--exhaustive"],
+        ["delta", "--group", "heisenberg", "--radius", "2", "--domain",
+         "half", "--exhaustive"],
+        ["delta", "--group", "heisenberg", "--radius", "4", "--domain",
+         "half", "--samples", "3000", "--seed", "1"],
+        ["delta", "--group", "f2", "--radius", "2", "--domain", "vertices",
+         "--exhaustive"],
+        ["delta", "--group", "f2", "--radius", "2", "--domain", "half",
+         "--samples", "2000", "--seed", "3", "--json"],
+        ["delta", "--group", z2_file, "--radius", "3", "--domain",
+         "vertices", "--exhaustive"],
+        ["delta", "--group", "z2-std", "--radius", "2", "--domain", "half",
+         "--samples", "0"],
+        # median
+        ["median", "--group", "z2-std", "--radius", "8", "--x", "1~a",
+         "--y", "b~a", "--z", "a,a,a,a,a~b"],
+        ["median", "--group", "z2-std", "--radius", "8", "--x", "a,a",
+         "--y", "b,b,b", "--z", "a^,b^", "--json"],
+        ["median", "--group", "z2-abc", "--radius", "2", "--x", "c,c",
+         "--y", "b,b,b", "--z", "a^,a^"],
+        ["median", "--group", "heisenberg", "--radius", "3", "--x", "a,b",
+         "--y", "b,a", "--z", "a^~b", "--json"],
+        ["median", "--group", "f2", "--radius", "3", "--x", "a,b",
+         "--y", "b^", "--z", "a^,a^"],
+        ["median", "--group", "z2-std", "--radius", "4", "--x", "a",
+         "--y", "a", "--z", "b"],
+        # ac
+        ["ac", "--group", "f2", "--radius", "7", "--nmax", "6", "--delta",
+         "0/1"],
+        ["ac", "--group", "z2-std", "--radius", "7", "--nmax", "5",
+         "--delta", "1/1"],
+        ["ac", "--group", "z2-std", "--radius", "6", "--nmax", "4"],
+        ["ac", "--group", "z2-abc", "--radius", "6", "--nmax", "4"],
+        ["ac", "--group", "heisenberg", "--radius", "5", "--nmax", "3",
+         "--delta", "2/1"],
+        ["ac", "--group", z2_file, "--radius", "6", "--nmax", "4",
+         "--delta", "1/1"],
+        # fill
+        ["fill", "--group", "z2-std", "--word", z2c, "--emit", "product"],
+        ["fill", "--group", "z2-std", "--word",
+         "a,a,a,b,b,b,a^,a^,a^,b^,b^,b^", "--emit", "tree"],
+        ["fill", "--group", "z2-std", "--word", z2c, "--emit", "dot"],
+        ["fill", "--group", "z2-std", "--word",
+         ",".join(["a"] * 9 + ["b"] * 9 + ["a^"] * 9 + ["b^"] * 9),
+         "--threshold", "8"],
+        ["fill", "--group", "z2-abc", "--word", "a,b,c^,c,b^,a^,c,b^,a^",
+         "--emit", "product"],
+        ["fill", "--group", "heisenberg", "--word", HEIS_W1, "--emit",
+         "product"],
+        ["fill", "--group", "heisenberg", "--word", HEIS_W2, "--emit",
+         "tree"],
+        ["fill", "--group", "heisenberg", "--word", HEIS_W2, "--threshold",
+         "8"],
+        ["fill", "--group", "f2", "--word", "a,b,b^,a^", "--emit", "tree"],
+        ["fill", "--group", z2_file, "--word", z2c, "--emit", "tree"],
+        ["fill", "--group", "z2-std", "--word",
+         ",".join(["a"] * 4 + ["b"] * 4 + ["a^"] * 4 + ["b^"] * 4),
+         "--threshold", "1"],
+        ["fill", "--group", "z2-std", "--word", "a,b"],
+        # dehn-scan
+        ["dehn-scan", "--group", "z2-std", "--lengths", "8,12",
+         "--samples", "2"],
+        ["dehn-scan", "--group", "z2-std", "--lengths", "16..48..8",
+         "--samples", "10", "--seed", "0"],
+        ["dehn-scan", "--group", "z2-std", "--lengths", "16,24",
+         "--samples", "4", "--threshold", "8"],
+        ["dehn-scan", "--group", "z2-abc", "--lengths", "8,12",
+         "--samples", "3"],
+        ["dehn-scan", "--group", "heisenberg", "--lengths", "8,12",
+         "--samples", "3"],
+        ["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16",
+         "--samples", "5"],
+        ["dehn-scan", "--group", "f2", "--lengths", "8,12", "--samples",
+         "2"],
+        ["dehn-scan", "--group", z2_file, "--lengths", "8,12", "--samples",
+         "2", "--seed", "4"],
+        ["dehn-scan", "--group", "z2-std", "--lengths", "16", "--samples",
+         "2", "--threshold", "1"],
+        ["dehn-scan", "--group", "z2-std", "--lengths", "10..4"],
+        # confluence and input errors
+        ["check-confluence", "--file", z2_file],
+        ["check-confluence", "--file", bad_file],
+        ["ball", "--group", bad_file, "--radius", "1"],
+        ["ball", "--group", "nosuchgroup", "--radius", "1"],
+        ["median", "--group", "z2-std", "--radius", "3", "--x", "q",
+         "--y", "a", "--z", "b"],
+        ["delta", "--group", "z2-std"],
+    ]
+
+
+def run(tree: str, argv: list[str], cwd: str):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cayleylab.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=cwd, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, time.monotonic() - start
+    err = "".join(line for line in proc.stderr.splitlines(keepends=True)
+                  if not line.startswith("duration_s="))
+    return (proc.returncode, proc.stdout, err), time.monotonic() - start
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args()
+    parent, change = (os.path.abspath(p) for p in (args.parent, args.change))
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        z2_file = os.path.join(tmp, "z2.grp")
+        bad_file = os.path.join(tmp, "bad.grp")
+        with open(z2_file, "w", encoding="utf-8") as fh:
+            fh.write(Z2_RULES)
+        with open(bad_file, "w", encoding="utf-8") as fh:
+            fh.write(BAD_RULES)
+        configs = configurations(z2_file, bad_file)
+        for argv in configs:
+            label = " ".join(argv).replace(tmp + os.sep, "")
+            before, t_before = run(parent, argv, tmp)
+            if before is None:
+                print(f"SKIP  parent timed out  {label}")
+                continue
+            after, t_after = run(change, argv, tmp)
+            if after == before:
+                status = "same"
+            else:
+                status = "DIFF"
+                failed += 1
+            code = "timeout" if after is None else after[0]
+            print(f"{status}  exit={code}  {t_before:6.2f}s -> "
+                  f"{t_after:6.2f}s  {label}", flush=True)
+    print(f"{len(configs)} configurations, {failed} differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
