@@ -279,33 +279,40 @@ class BallIndex:
                                    "larger one")
         return w
 
-    def _bfs_from(self, source: int, target: int,
-                  max_norm: int) -> dict[int, tuple[int, int]]:
-        """Predecessor (vertex, generator) of each vertex reached by a
-        breadth-first search from source through norms at most max_norm,
-        stopping at the layer that reaches target."""
-        adj, dist = self.adj, self.dist
-        prev: dict[int, tuple[int, int]] = {source: (-1, -1)}
-        frontier = [source]
-        while frontier and target not in prev:
+    def _bfs_from(self, source: int, targets: list[int],
+                  max_norm: int) -> dict[int, int]:
+        """Distance from source of each vertex reached by a breadth-first
+        search through norms at most max_norm, stopping at the layer that
+        reaches the last of the targets."""
+        adj = self.adj
+        hi = self.shell_start[max_norm + 1]  # norms <= max_norm lie below
+        reach = {source: 0}
+        left = [t for t in targets if t != source]
+        frontier, layer = [source], 0
+        while frontier and left:
+            layer += 1
             nxt = []
             for a in frontier:
-                for gen, b in enumerate(adj[a]):
-                    if b >= 0 and b not in prev and dist[b] <= max_norm:
-                        prev[b] = (a, gen)
+                for b in adj[a]:
+                    if 0 <= b < hi and b not in reach:
+                        reach[b] = layer
                         nxt.append(b)
+            left = [t for t in left if t not in reach]
             frontier = nxt
-        return prev
+        return reach
 
     def _inball_path(self, u: int, v: int, max_norm: int) -> Word:
         """A shortest path word from u to v through norms at most
         max_norm; B_max_norm is connected, so one exists."""
-        prev = self._bfs_from(u, v, max_norm)
+        reach = self._bfs_from(u, [v], max_norm)
+        inverse = self.group.alphabet.inverse
         letters: list[int] = []
         cur = v
         while cur != u:
-            cur, gen = prev[cur]
-            letters.append(gen)
+            nearer = reach[cur] - 1
+            gen, cur = next((g, b) for g, b in enumerate(self.adj[cur])
+                            if reach.get(b) == nearer)
+            letters.append(inverse(gen))
         return tuple(reversed(letters))
 
     def geodesic(self, p: Point, q: Point) -> GeodesicPath:
@@ -319,23 +326,39 @@ class BallIndex:
 
     # -- sphere structure --------------------------------------------------
 
-    def sphere_pairs(self, n: int) -> list[tuple[int, int]]:
-        """Unordered pairs of norm-n vertices at word distance <= 2."""
+    def sphere_pairs(self, n: int) -> dict[tuple[int, int], int | None]:
+        """Unordered pairs (u, v), u < v, of norm-n vertices at word
+        distance <= 2, each mapped to its distance inside B_n when a path
+        of length <= 2 inside B_n joins it: 1 for an edge, 2 through a
+        middle vertex of norm <= n, and None when every such path leaves
+        B_n.  Rows of norm n < radius are fully expanded, so both values
+        are exact."""
         if not (0 <= n <= self.radius - 1):
             raise InputError(
                 f"sphere_pairs needs 0 <= n <= radius-1, got n={n}, R={self.radius}"
             )
-        pairs: set[tuple[int, int]] = set()
-        for u in self.shell(n):
-            for w1 in self.adj[u]:
-                if w1 < 0:
-                    continue
-                if self.dist[w1] == n and w1 > u:
-                    pairs.add((u, w1))
-                for w2 in self.adj[w1]:
-                    if w2 >= 0 and w2 > u and self.dist[w2] == n:
-                        pairs.add((u, w2))
-        return sorted(pairs)
+        # shell n is the id range [lo, hi), and norms <= n lie below hi;
+        # rows of norm n have no -1, and later writes win: an edge beats
+        # a middle vertex inside B_n, which beats one outside
+        adj = self.adj
+        lo, hi = self.shell_start[n], self.shell_start[n + 1]
+        pairs: dict[tuple[int, int], int | None] = {}
+        for u in range(lo, hi):
+            row = adj[u]
+            for w1 in row:
+                if w1 >= hi:
+                    for w2 in adj[w1]:
+                        if u < w2 < hi:
+                            pairs[u, w2] = None
+            for w1 in row:
+                if w1 < hi:
+                    for w2 in adj[w1]:
+                        if u < w2 < hi:
+                            pairs[u, w2] = 2
+            for w1 in row:
+                if u < w1 < hi:
+                    pairs[u, w1] = 1
+        return pairs
 
 
 def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000,

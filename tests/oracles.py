@@ -90,6 +90,64 @@ def heisenberg_ac_constants(n_max: int) -> list[tuple[int, int]]:
     return out
 
 
+def group_ball(group, radius: int) -> dict:
+    """Plain dict BFS over group.apply from group.identity();
+    element -> word norm."""
+    gens = range(len(group.alphabet))
+    dist = {group.identity(): 0}
+    frontier = list(dist)
+    for layer in range(radius):
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = group.apply(e, g)
+                if f not in dist:
+                    dist[f] = layer + 1
+                    nxt.append(f)
+        frontier = nxt
+    return dist
+
+
+def brute_sphere_pair_distances(group, n: int, norm: dict) -> dict:
+    """(e, f) -> shortest path length inside B_n, for each pair e < f of
+    norm-n elements at word distance <= 2.  The pairs come from the
+    unrestricted 2-step neighbourhood; each gets its own BFS over elements
+    of norm <= n.  norm must cover radius n + 1."""
+    gens = range(len(group.alphabet))
+    sphere = sorted(e for e, d in norm.items() if d == n)
+    out = {}
+    for u in sphere:
+        step1 = {group.apply(u, g) for g in gens}
+        near = step1 | {group.apply(w, g) for w in step1 for g in gens}
+        for v in sorted(v for v in near if v > u and norm.get(v) == n):
+            dist = {u: 0}
+            frontier = [u]
+            while v not in dist:
+                nxt = []
+                for e in frontier:
+                    for g in gens:
+                        f = group.apply(e, g)
+                        if f not in dist and norm.get(f, n + 1) <= n:
+                            dist[f] = dist[e] + 1
+                            nxt.append(f)
+                frontier = nxt
+            out[u, v] = dist[v]
+    return out
+
+
+def brute_ac_constant(group, n_max: int) -> list[tuple]:
+    """(C_n, pair count, worst pair) for n = 1..n_max, where the worst
+    pair is the least (e, f) among the pairs of length C_n."""
+    norm = group_ball(group, n_max + 1)
+    out = []
+    for n in range(1, n_max + 1):
+        lengths = brute_sphere_pair_distances(group, n, norm)
+        c_n = max(lengths.values(), default=0)
+        worst = min((p for p, d in lengths.items() if d == c_n), default=None)
+        out.append((c_n, len(lengths), worst))
+    return out
+
+
 def grid_graph_points(radius: int):
     """All realization points of the Z^2 standard grid within the radius:
     lattice points and edge midpoints, as exact coordinate pairs."""

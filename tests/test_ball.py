@@ -223,7 +223,7 @@ def test_sphere_pairs_f2():
 def test_sphere_pairs_n0_empty():
     for name in ["z2-std", "f2"]:
         ball = build_ball(get_group(name), 2)
-        assert ball.sphere_pairs(0) == []
+        assert ball.sphere_pairs(0) == {}
 
 
 def test_sphere_pairs_range_check():

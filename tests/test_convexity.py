@@ -4,9 +4,12 @@ import pytest
 
 from cayleylab.ball import build_ball
 from cayleylab.convexity import ac_constant, verify_theorem1
-from cayleylab.groups import get_group
+from cayleylab.groups import RewritingGroup, get_group
+from cayleylab.rewriting import parse_group_file
 
-from oracles import heisenberg_ac_constants
+from oracles import (brute_ac_constant, brute_sphere_pair_distances,
+                     group_ball, heisenberg_ac_constants)
+from test_rewriting import Z2_RULES_TEXT
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +96,36 @@ def test_verify_theorem1_z2(z2ball):
 def test_bound_failure_reported(z2ball):
     rep = ac_constant(z2ball, 4, bound=Fraction(1))
     assert rep.passed is False
+
+
+@pytest.mark.parametrize("name,n_max", [("f2", 6), ("f3", 4), ("z2-std", 8),
+                                        ("z2-abc", 8), ("rules", 6)])
+def test_ac_constant_matches_brute_oracle(name, n_max):
+    group = (RewritingGroup("z2-rw", parse_group_file(Z2_RULES_TEXT)[1])
+             if name == "rules" else get_group(name))
+    ball = build_ball(group, n_max + 1)
+    got = [(rep.c_n, rep.pairs_examined, rep.worst_pair)
+           for rep in (ac_constant(ball, n) for n in range(1, n_max + 1))]
+    assert got == brute_ac_constant(group, n_max)
+
+
+def test_sphere_pair_values_match_inball_distances():
+    """On Heisenberg, where detours decide C_n, every 1 or 2 that
+    sphere_pairs reports is the in-ball distance, and every None pair
+    needs a path of length >= 3."""
+    group = get_group("heisenberg")
+    ball = build_ball(group, 8)
+    norm = group_ball(group, 8)
+    nones = 0
+    for n in range(1, 8):
+        brute = brute_sphere_pair_distances(group, n, norm)
+        pairs = ball.sphere_pairs(n)
+        assert len(pairs) == len(brute)
+        for (u, v), d in pairs.items():
+            e, f = sorted((ball.elements[u], ball.elements[v]))
+            if d is None:
+                nones += 1
+                assert brute[e, f] >= 3
+            else:
+                assert brute[e, f] == d
+    assert nones > 0

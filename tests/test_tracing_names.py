@@ -1,6 +1,10 @@
 """The per-layer tracer of perfbench/ wraps library functions and methods
-by name; a rename must fail here rather than in a benchmark run."""
+by name; a rename, or a call routed around a wrapped name, must fail here
+rather than in a benchmark run."""
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ from cayleylab.groups import RewritingGroup, get_group
 from cayleylab.rewriting import parse_group_file
 from test_rewriting import Z2_RULES_TEXT
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +51,25 @@ def test_traced_methods_exist(tracing):
     (words, "free_reduce"), (vankampen, "free_reduce")])
 def test_traced_functions_exist(module, name):
     assert callable(getattr(module, name))
+
+
+def traced_small_run(workload):
+    """The per-layer metrics of the traced small run of a workload."""
+    out = subprocess.run([sys.executable, str(PERFBENCH / "child.py"),
+                          workload, "0", "1", "1"], capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out)["layers"]
+
+
+@pytest.mark.parametrize("workload,exact,positive", [
+    ("ac-f2", {"convexity.sphere_pairs_calls": 4, "convexity.pairs": 162},
+     ()),
+    ("dehn-z2", {"vankampen.fills": 9}, ("vankampen.split_loop_calls",)),
+    ("delta-z2abc", {}, ("ldelta.median_calls",
+                         "ball.vertex_distance_calls"))])
+def test_traced_workloads_reach_wrapped_names(workload, exact, positive):
+    layers = traced_small_run(workload)
+    for name, count in exact.items():
+        assert layers[name] == count, name
+    for name in positive:
+        assert layers[name] > 0, name

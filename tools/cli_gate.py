@@ -101,6 +101,12 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--delta", "2/1"],
         ["ac", "--group", z2_file, "--radius", "6", "--nmax", "4",
          "--delta", "1/1"],
+        ["ac", "--group", "heisenberg", "--radius", "9", "--nmax", "8",
+         "--delta", "1/1"],
+        ["ac", "--group", "z2-abc", "--radius", "12", "--nmax", "11",
+         "--delta", "1/1"],
+        ["ac", "--group", "f3", "--radius", "5", "--nmax", "4", "--delta",
+         "0/1"],
         # fill
         ["fill", "--group", "z2-std", "--word", z2c, "--emit", "product"],
         ["fill", "--group", "z2-std", "--word",
