@@ -83,6 +83,12 @@ class GeodesicPath:
     length: Fraction
 
 
+def _plus_half_steps(p: Point, q: Point, d: int) -> Fraction:
+    """The vertex distance d between nearest ends of p and q, plus half a
+    step for each midpoint among them."""
+    return HALF_STEP * ((p.kind == HALF) + (q.kind == HALF)) + d
+
+
 def _cap_error(max_vertices: int) -> ResourceError:
     return ResourceError(f"ball exceeds max_vertices cap ({max_vertices})")
 
@@ -235,19 +241,19 @@ class BallIndex:
         """distance(p, q) without checking the points."""
         if p == q:
             return Fraction(0)
-        return self._nearest_ends(p, q)[0]
+        return _plus_half_steps(p, q, self._nearest_ends(p, q)[0])
 
-    def _nearest_ends(self, p: Point, q: Point) -> tuple[Fraction, int, int]:
-        """(distance, e, f) through the first nearest pair of ends e of p
-        and f of q, for distinct points."""
+    def _nearest_ends(self, p: Point, q: Point) -> tuple[int, int, int]:
+        """(d, e, f) for the first nearest pair of ends e of p and f of q,
+        for distinct points, with d = vertex_distance(e, f), an int;
+        _plus_half_steps turns d into the distance of p and q."""
         best = None
         for e in ((p.a,) if p.kind == VERTEX else (p.a, p.b)):
             for f in ((q.a,) if q.kind == VERTEX else (q.a, q.b)):
                 d = self.vertex_distance(e, f)
                 if best is None or d < best[0]:
                     best = (d, e, f)
-        d, e, f = best
-        return HALF_STEP * ((p.kind == HALF) + (q.kind == HALF)) + d, e, f
+        return best
 
     # -- geodesics ---------------------------------------------------------
 
@@ -321,8 +327,9 @@ class BallIndex:
         self.check_point(q)
         if p == q:
             return GeodesicPath(p.a, q.a, (), Fraction(0))
-        total, e, f = self._nearest_ends(p, q)
-        return GeodesicPath(e, f, self.vertex_geodesic_word(e, f), total)
+        d, e, f = self._nearest_ends(p, q)
+        return GeodesicPath(e, f, self.vertex_geodesic_word(e, f),
+                            _plus_half_steps(p, q, d))
 
     # -- sphere structure --------------------------------------------------
 

@@ -27,6 +27,18 @@ can neither win nor trigger the cap.  The bound needs u's three distances
 exact, so the skip is off at a u with a FAR distance (ball.py): a
 midpoint there can read its other end's exact distance, far below u's.
 
+The seed step offers, before its three walks, each pair's Gromov point:
+the vertex of the walk from a to b at the Gromov product (b|c)_a from
+its start.  Internal points of geodesic triangles are near-medians where
+slack is small, so under a running cap one offer usually ends the
+search.  The order of offers changes no result.  An uncut search ends
+its seed at the least key over a fixed set: every walk vertex (the
+Gromov points are walk vertices too) and every midpoint not proved to
+lose, and a midpoint skipped because an earlier offer lowered the best
+slack can neither win nor meet the cap.  So the shell scan starts from
+the same key, with the same bound, and a capped search returns None
+exactly when that key's slack is within the cap.
+
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
@@ -169,18 +181,20 @@ class DistanceRows(dict):
         return row
 
     def walk(self, p: Point, q: Point) -> tuple[int, ...]:
-        """Vertex ids along ball.geodesic(p, q), which stays inside the
-        ball."""
-        key = (p, q)
-        if key not in self.walks:
+        """Vertex ids along ball.geodesic(p, q): from the nearest end of p
+        to that of q, along ball.vertex_geodesic_word, which raises
+        BallTooSmall where the path leaves the ball."""
+        ids = self.walks.get((p, q))
+        if ids is None:
+            ball = self.ball
+            _, e, f = ball._nearest_ends(p, q)
+            adj = ball.adj
+            walk = [e]
+            for gen in ball.vertex_geodesic_word(e, f):
+                walk.append(adj[walk[-1]][gen])
+            ids = self.walks[p, q] = tuple(walk)
             self.held[0] += 1
-            path = self.ball.geodesic(p, q)
-            adj = self.ball.adj
-            ids = [path.start_vertex]
-            for gen in path.word:
-                ids.append(adj[ids[-1]][gen])
-            self.walks[key] = tuple(ids)
-        return self.walks[key]
+        return ids
 
 
 class FillRows(DistanceRows):
@@ -229,7 +243,11 @@ def pair_slacks(ball: BallIndex, t: Point, x: Point, y: Point,
 
 
 class _MedianSearch:
-    """Shell scan state; all distances are doubled integers internally."""
+    """Shell scan state; all distances are doubled integers internally.
+
+    seed and run offer each vertex inline, on local rows; midpoints go
+    through consider_mid, at the vertices where mids_lose does not rule
+    them out."""
 
     def __init__(self, ball: BallIndex, rows: DistanceRows, x: Point,
                  y: Point, z: Point, t_halves: bool):
@@ -239,17 +257,11 @@ class _MedianSearch:
         self.t_halves = t_halves
         xr, yr, zr = rows.point_row(x), rows.point_row(y), rows.point_row(z)
         self.xr, self.yr, self.zr = xr, yr, zr
-        self.with_rows = ((x, xr), (y, yr), (z, zr))
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
         self.best_key: tuple = (math.inf,)  # above every key
         self.seen_mids: set[tuple[int, int]] = set()
-
-    def consider_vertex(self, tid: int) -> int:
-        """Offer vertex tid and return its doubled slack."""
-        return self._offer(VERTEX, tid, -1,
-                           self.xr[tid], self.yr[tid], self.zr[tid])
 
     def mids_lose(self, u: int, s: int) -> bool:
         """True when no midpoint of an edge at vertex u, offered at
@@ -258,21 +270,27 @@ class _MedianSearch:
             and self.yr[u] < FAR and self.zr[u] < FAR
 
     def consider_mid(self, u: int, v: int) -> None:
+        """Offer the midpoint of edge (u, v), once per search; seed marks
+        the triple's own midpoints seen when it offers them."""
         key = (u, v) if u < v else (v, u)
         if key in self.seen_mids:
             return
         self.seen_mids.add(key)
-        ds = []
-        for p, row in self.with_rows:
-            if p.kind == HALF and key == (p.a, p.b):
-                ds.append(0)
-                continue
-            du, dv = row[u], row[v]
-            ds.append((du if du < dv else dv) + 1)
-        self._offer(HALF, key[0], key[1], *ds)
+        row = self.xr
+        du, dv = row[u], row[v]
+        dx = (du if du < dv else dv) + 1
+        row = self.yr
+        du, dv = row[u], row[v]
+        dy = (du if du < dv else dv) + 1
+        row = self.zr
+        du, dv = row[u], row[v]
+        self._offer(HALF, key[0], key[1], dx, dy,
+                    (du if du < dv else dv) + 1)
 
     def _offer(self, kind: int, a: int, b: int,
                dx: int, dy: int, dz: int) -> int:
+        """Offer a point and return its doubled slack; seed and run offer
+        walk and shell vertices inline, with the same steps."""
         s = dx + dy - self.dxy2
         s2 = dy + dz - self.dyz2
         if s2 > s:
@@ -289,24 +307,72 @@ class _MedianSearch:
         return s
 
     def seed(self, cap2: int) -> bool:
-        """Evaluate the triple's own midpoints and the points along one
-        geodesic per pair, which start and end at its vertices; in
-        well-behaved groups this already contains a minimum-slack t.
-        Returns True when the cap aborts the triple."""
-        if self.t_halves:
-            for p in (self.x, self.y, self.z):
+        """Evaluate the triple's own midpoints, then each pair's Gromov
+        point, then the points along one geodesic per pair, which start
+        and end at its vertices; in well-behaved groups this already
+        contains a minimum-slack t.  Returns True when the cap aborts the
+        triple.
+
+        The Gromov point of a pair (a, b) with third point c is the inner
+        vertex of walk(a, b) at the Gromov product (b|c)_a from its start,
+        rounded down, a near-median where slack is small.  The walks offer
+        it again, so it only makes the cap and the midpoint skip act
+        sooner (module docstring)."""
+        x, y, z = self.x, self.y, self.z
+        xr, yr, zr = self.xr, self.yr, self.zr
+        dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
+        t_halves = self.t_halves
+        if t_halves:
+            # a midpoint of the triple lies 0 from itself and the pair
+            # distances from the other two points
+            for p, dx, dy, dz in ((x, 0, dxy2, dzx2), (y, dxy2, 0, dyz2),
+                                  (z, dzx2, dyz2, 0)):
                 if p.kind == HALF:
-                    self.consider_mid(p.a, p.b)
-        for a, b in ((self.x, self.y), (self.y, self.z), (self.z, self.x)):
-            walk = self.rows.walk(a, b)
-            s = self.consider_vertex(walk[0])
-            for cur, nxt in zip(walk, walk[1:]):
-                if self.t_halves and not self.mids_lose(cur, s):
-                    self.consider_mid(cur, nxt)
-                s = self.consider_vertex(nxt)
+                    self.seen_mids.add((p.a, p.b))
+                    self._offer(HALF, p.a, p.b, dx, dy, dz)
+        walk_of = self.rows.walk
+        # g4 = 4 (b|c)_a, from doubled d(a, b) + d(a, c) - d(b, c)
+        for a, b, g4 in ((x, y, dxy2 + dzx2 - dyz2),
+                         (y, z, dyz2 + dxy2 - dzx2),
+                         (z, x, dzx2 + dyz2 - dxy2)):
+            try:
+                walk = walk_of(a, b)
+            except BallTooSmall:
+                # the walks below raise it again, unless the cap stops
+                # them first, as it would without this step
+                break
+            i = g4 // 4
+            if 0 < i < len(walk) - 1:
+                tid = walk[i]
+                self._offer(VERTEX, tid, -1, xr[tid], yr[tid], zr[tid])
                 if self.best_key[0] <= cap2:
                     return True
-        return self.best_key[0] <= cap2
+        best = self.best_key
+        for a, b in ((x, y), (y, z), (z, x)):
+            walk = walk_of(a, b)
+            end = len(walk) - 1
+            for i, tid in enumerate(walk):
+                dx, dy, dz = xr[tid], yr[tid], zr[tid]
+                s = dx + dy - dxy2
+                s2 = dy + dz - dyz2
+                if s2 > s:
+                    s = s2
+                s2 = dz + dx - dzx2
+                if s2 > s:
+                    s = s2
+                if s <= best[0]:
+                    if s <= cap2:
+                        return True
+                    key = (s, dx, dy, VERTEX, tid, -1, dz)
+                    if key < best:
+                        self.best_key = best = key
+                if t_halves and i < end and (
+                        s - 2 <= best[0] or not self.mids_lose(tid, s)):
+                    self.consider_mid(tid, walk[i + 1])
+                    best = self.best_key
+                    if best[0] <= cap2:
+                        return True
+        return best[0] <= cap2
 
     def _result(self) -> MedianResult:
         s, dx, dy, kind, a, b, dz = self.best_key
@@ -327,21 +393,26 @@ class _MedianSearch:
         mult = ball.group.multiply
         elements = ball.elements
         index_get = ball.index.get
+        adj = ball.adj
+        xr, yr, zr = self.xr, self.yr, self.zr
+        dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
+        t_halves = self.t_halves
         # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
-        xr = self.xr if self.x.kind == VERTEX else None
+        x_vertex = self.x.kind == VERTEX
         strict = isinstance(self.rows, FillRows)
+        # seed returned False, so the best slack is above the cap
+        best = self.best_key
         m = 0
         while True:
             if prune:
                 # any improver satisfies 2 d(x,t) <= min(dxy2 + slack2, best dx2),
                 # and shell-m candidates all have 2 d(x,t) >= 2(m-1)
-                bound2 = min(self.dxy2 + self.best_key[0] // 2,
-                             self.best_key[1])
+                bound2 = min(dxy2 + best[0] // 2, best[1])
                 if 2 * (m - 1) > bound2:
                     break
             if m > ball.radius:
                 # a larger ball would scan on, unless no edge leaves this one
-                if strict and any(-1 in ball.adj[u]
+                if strict and any(-1 in adj[u]
                                   for u in ball.shell(ball.radius)):
                     raise BallTooSmall("the shell scan ran out at the radius")
                 break
@@ -351,16 +422,35 @@ class _MedianSearch:
                     if strict:
                         raise BallTooSmall("a scanned shell leaves the ball")
                     continue
-                if xr is not None and tid not in xr:
-                    xr[tid] = 2 * m
-                    xr.held[0] += 1
-                s = self.consider_vertex(tid)
-                if self.t_halves and not self.mids_lose(tid, s):
-                    for w in ball.adj[tid]:
+                if x_vertex:
+                    dx = 2 * m
+                    if tid not in xr:
+                        xr[tid] = dx
+                        xr.held[0] += 1
+                else:
+                    dx = xr[tid]
+                dy, dz = yr[tid], zr[tid]
+                s = dx + dy - dxy2
+                s2 = dy + dz - dyz2
+                if s2 > s:
+                    s = s2
+                s2 = dz + dx - dzx2
+                if s2 > s:
+                    s = s2
+                if s <= best[0]:
+                    if s <= cap2:
+                        return None
+                    key = (s, dx, dy, VERTEX, tid, -1, dz)
+                    if key < best:
+                        self.best_key = best = key
+                if t_halves and (s - 2 <= best[0]
+                                 or not self.mids_lose(tid, s)):
+                    for w in adj[tid]:
                         if w >= 0:
                             self.consider_mid(tid, w)
-                if self.best_key[0] <= cap2:
-                    return None
+                    best = self.best_key
+                    if best[0] <= cap2:
+                        return None
             m += 1
         return self._result()
 

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from cayleylab import ldelta
-from cayleylab.ball import FAR, BallIndex, Point, build_ball
+from cayleylab.ball import FAR, HALF, VERTEX, BallIndex, Point, build_ball
 from cayleylab.errors import InputError
-from cayleylab.groups import get_group
-from cayleylab.ldelta import (DistanceRows, domain_points, estimate_delta,
-                              median, pair_slacks, recommended_ball_radius,
-                              slack)
+from cayleylab.groups import RewritingGroup, get_group
+from cayleylab.ldelta import (DistanceRows, FillRows, domain_points,
+                              estimate_delta, median, pair_slacks,
+                              recommended_ball_radius, slack)
+from cayleylab.rewriting import parse_group_file
 from oracles import grid_min_slack, plain_exhaustive_delta
 from test_rewriting import Z2_RULES_TEXT
 
@@ -33,6 +34,16 @@ def z2ball():
 @pytest.fixture(scope="module")
 def f2ball():
     return build_ball(get_group("f2"), 8)
+
+
+def group_of(name):
+    """A built-in group, or "z2-rules": Z^2 from the README's rules file."""
+    if name == "z2-rules":
+        return RewritingGroup(name, parse_group_file(Z2_RULES_TEXT)[1])
+    return get_group(name)
+
+
+GROUP_NAMES = ["z2-std", "z2-abc", "heisenberg", "f2", "z2-rules"]
 
 
 def vp(ball, e):
@@ -258,6 +269,63 @@ def test_median_is_none_exactly_when_its_slack_is_within_the_cap(name):
                 assert got is None, (triple, cap)
             else:
                 assert got == uncapped, (triple, cap)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_fill_search_is_none_exactly_when_its_slack_is_within_the_cap(name):
+    # the vertex-only search of vankampen.fill on FillRows: the seed's
+    # Gromov points and run's return before a vertex's midpoints may end a
+    # capped search sooner, never with another answer, and a capped search
+    # reads nothing past the ball that the uncapped one does not
+    group = group_of(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3) + 4)
+    pts = domain_points(ball, 3, "vertices")
+    rows = FillRows(ball)
+    rng = random.Random(23)
+    within = 0
+    for _ in range(150):
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        uncapped = median(ball, *triple, t_halves=False, _rows=rows)
+        for cap in CAPS:
+            got = median(ball, *triple, cap=cap, t_halves=False, _rows=rows)
+            if cap is not None and uncapped.slack <= cap:
+                assert got is None, (triple, cap)
+                within += 1
+            else:
+                assert got == uncapped, (triple, cap)
+    assert within > 300
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_walks_follow_geodesics(name):
+    # DistanceRows.walk steps along vertex_geodesic_word from the nearest
+    # ends itself; it must walk the path ball.geodesic returns, whose
+    # length adds half a step per midpoint to the vertex distance
+    group = group_of(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "half")
+    kinds = {VERTEX: [p for p in pts if p.kind == VERTEX],
+             HALF: [p for p in pts if p.kind == HALF]}
+    rows = DistanceRows(ball)
+    rng = random.Random(47)
+    offsets = set()
+    for kp, kq in ((VERTEX, VERTEX), (VERTEX, HALF), (HALF, VERTEX),
+                   (HALF, HALF)):
+        for _ in range(60):
+            p, q = rng.choice(kinds[kp]), rng.choice(kinds[kq])
+            if p == q:
+                continue
+            path = ball.geodesic(p, q)
+            ids = [path.start_vertex]
+            for gen in path.word:
+                ids.append(ball.adj[ids[-1]][gen])
+            assert ids[-1] == path.end_vertex
+            assert rows.walk(p, q) == tuple(ids)
+            assert path.length == ball.try_distance(p, q)
+            offset = path.length - len(path.word)
+            assert offset == F(kp + kq, 2)
+            offsets.add(offset)
+    assert offsets == {0, F(1, 2), 1}
 
 
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
@@ -500,6 +568,25 @@ def test_exhaustive_delta_skips_midpoints_that_cannot_win(monkeypatch):
     assert est.value == 3
     # offering every midpoint at each scanned vertex made 100,354 calls
     assert calls[0] <= 50_000
+
+
+def test_exhaustive_delta_offers_gromov_points_first(monkeypatch):
+    # the delta-z2abc configuration: the seed's Gromov points meet the
+    # running cap or lower the best slack before the walks, so the walks
+    # skip more midpoints
+    calls = [0]
+    consider_mid = ldelta._MedianSearch.consider_mid
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return consider_mid(self, u, v)
+
+    monkeypatch.setattr(ldelta._MedianSearch, "consider_mid", counted)
+    ball = build_ball(get_group("z2-abc"), 12)
+    est = estimate_delta(ball, 5, domain="vertices", sampling="exhaustive")
+    assert est.value == 3
+    # walks before any Gromov point made 37,599 calls
+    assert calls[0] <= 30_000
 
 
 @pytest.mark.parametrize("name,on", [("f2", False), ("heisenberg", True),

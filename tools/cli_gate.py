@@ -75,6 +75,10 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--samples", "2000", "--seed", "3", "--json"],
         ["delta", "--group", z2_file, "--radius", "3", "--domain",
          "vertices", "--exhaustive"],
+        ["delta", "--group", "z2-abc", "--radius", "5", "--domain",
+         "vertices", "--exhaustive"],
+        ["delta", "--group", "heisenberg", "--radius", "4", "--domain",
+         "vertices", "--samples", "20000", "--seed", "2"],
         ["delta", "--group", "z2-std", "--radius", "2", "--domain", "half",
          "--samples", "0"],
         # median
