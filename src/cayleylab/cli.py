@@ -147,17 +147,15 @@ def cmd_median(args) -> int:
 def cmd_ac(args) -> int:
     group = get_group(args.group)
     ball = build_ball(group, args.radius)
-    if args.delta == "auto":
+    delta_hat = args.delta
+    if delta_hat == "auto":
         dom_r = min(args.nmax, max(args.radius - 2, 1))
         # C_n reads only B_n, so the margin serves the estimate alone
         need = recommended_ball_radius(group, dom_r)
         est_ball = ball if need <= ball.radius else \
             build_ball(group, need, source=ball)
-        est = estimate_delta(est_ball, dom_r, domain="half",
-                             sampling="exhaustive", seed=args.seed)
-        delta_hat = est.value
-    else:
-        delta_hat = Fraction(args.delta)
+        delta_hat = estimate_delta(est_ball, dom_r, domain="half",
+                                   sampling="exhaustive", seed=args.seed).value
     reports = verify_theorem1(ball, args.nmax, delta_hat)
     lines = ["n,pairs,C_n,bound,pass"]
     for rep in reports:
@@ -178,14 +176,10 @@ def _tree_lines(ball, node, indent, lines) -> None:
 def cmd_fill(args) -> int:
     group = get_group(args.group)
     w = free_reduce(group.alphabet, group.alphabet.parse_word(args.word))
-    if args.threshold == "auto":
-        policy = adaptive()
-    else:
-        policy = fixed(int(args.threshold))
     # fill checks the word first, then grows the ball whenever it reads
     # past the edge
     ball = build_ball(group, 0)
-    tree = fill(ball, w, policy)
+    tree = fill(ball, w, args.threshold)
 
     fmt_word = group.alphabet.format_word
     if args.emit == "tree":
@@ -214,26 +208,10 @@ def cmd_fill(args) -> int:
     return 0
 
 
-def parse_lengths(text: str) -> list[int]:
-    if ".." in text:
-        parts = text.split("..")
-        if len(parts) == 2:
-            a, b, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            a, b, step = (int(p) for p in parts)
-        else:
-            raise InputError(f"bad length range {text!r}")
-        if step <= 0 or b < a:
-            raise InputError(f"bad length range {text!r}")
-        return list(range(a, b + 1, step))
-    return [int(p) for p in text.split(",") if p.strip()]
-
-
 def cmd_dehn_scan(args) -> int:
     group = get_group(args.group)
-    policy = adaptive() if args.threshold == "auto" else fixed(int(args.threshold))
-    scan = dehn_scan(group, parse_lengths(args.lengths), args.samples,
-                     policy, seed=args.seed)
+    scan = dehn_scan(group, args.lengths, args.samples, args.threshold,
+                     seed=args.seed)
     lines = ["n,samples,max_cells,mean_cells"]
     for n, count, mx, mean in scan.records:
         lines.append(f"{n},{count},{mx},{frac(mean)}")
@@ -261,12 +239,38 @@ def cmd_check_confluence(args) -> int:
 
 # -- argument plumbing ------------------------------------------------------
 
+def parse_lengths(text: str) -> list[int]:
+    """A comma list such as 8,12,16, or a range a..b or a..b..step."""
+    if ".." not in text:
+        return [int(p) for p in text.split(",") if p.strip()]
+    parts = [int(p) for p in text.split("..")]
+    if len(parts) == 2:
+        parts.append(1)
+    if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
+        raise InputError(f"bad length range {text!r}")
+    return list(range(parts[0], parts[1] + 1, parts[2]))
+
+
+def arg_type(what: str, parse):
+    """`parse` as an argparse type, raising InputError (which argparse
+    passes on to main) where `parse` raises ValueError or ZeroDivisionError."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad {what} {text!r}") from None
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayleylab",
         description="Cayley-graph metric experiments: delta estimates, "
                     "almost convexity, van Kampen fillings.")
     sub = parser.add_subparsers(dest="command", required=True)
+    threshold = arg_type("threshold", lambda t: adaptive() if t == "auto"
+                         else fixed(int(t)))
+    delta = arg_type("delta", lambda t: t if t == "auto" else Fraction(t))
 
     def common(p, radius=True):
         p.add_argument("--group", required=True,
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ac", help="almost-convexity constants C_n")
     common(p)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--delta", default="auto",
+    p.add_argument("--delta", type=delta, default="auto",
                    help="delta-hat as a fraction, or auto to estimate")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ac)
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fill", help="trisection filling of an identity word")
     common(p, radius=False)
     p.add_argument("--word", required=True)
-    p.add_argument("--threshold", default="auto")
+    p.add_argument("--threshold", type=threshold, default="auto")
     p.add_argument("--emit", choices=["tree", "product", "dot"],
                    default="tree")
     p.set_defaults(func=cmd_fill)
@@ -318,10 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dehn-scan", help="cell-count growth scan")
     common(p, radius=False)
     p.add_argument("--lengths", required=True,
+                   type=arg_type("lengths", parse_lengths),
                    help="comma list or a..b..step range")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", default="auto")
+    p.add_argument("--threshold", type=threshold, default="auto")
     p.set_defaults(func=cmd_dehn_scan)
 
     p = sub.add_parser("check-confluence",

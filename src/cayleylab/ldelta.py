@@ -102,16 +102,20 @@ class DeltaEstimate:
 
 class _Row(dict):
     """Twice the distance from vertex u to each vertex id, computed by
-    ball.vertex_distance on first use."""
+    ball.vertex_distance on first use.  A strict row raises BallTooSmall
+    where it would hold FAR."""
 
-    __slots__ = ("ball", "u", "held")
+    __slots__ = ("ball", "u", "held", "strict")
 
-    def __init__(self, ball: BallIndex, u: int, held: list[int]):
+    def __init__(self, ball: BallIndex, u: int, held: list[int], strict: bool):
         super().__init__()
-        self.ball, self.u, self.held = ball, u, held
+        self.ball, self.u, self.held, self.strict = ball, u, held, strict
 
     def __missing__(self, v: int) -> int:
-        d2 = self[v] = 2 * self.ball.vertex_distance(self.u, v)
+        d = self.ball.vertex_distance(self.u, v)
+        if d == FAR and self.strict:
+            raise BallTooSmall("a distance read lies beyond the ball")
+        d2 = self[v] = 2 * d
         self.held[0] += 1
         return d2
 
@@ -134,21 +138,6 @@ class _MidRow(dict):
         return d2
 
 
-class _FillRow(_Row):
-    """A _Row that raises BallTooSmall where it would hold FAR; its body
-    repeats _Row's, as a call to it costs a frame per distance."""
-
-    __slots__ = ()
-
-    def __missing__(self, v: int) -> int:
-        d = self.ball.vertex_distance(self.u, v)
-        if d == FAR:
-            raise BallTooSmall("a distance read lies beyond the ball")
-        d2 = self[v] = 2 * d
-        self.held[0] += 1
-        return d2
-
-
 class DistanceRows(dict):
     """rows[u][v] == 2 * ball.vertex_distance(u, v), computed on first use.
 
@@ -156,9 +145,10 @@ class DistanceRows(dict):
     the vertex walk of one seed geodesic per point pair is kept too.
     `held[0]` counts the distances and walks held; the rows share that
     cell rather than point back here, so a dropped cache is freed at once.
+    Its rows are not `strict`: they hold FAR beyond the ball.
     """
 
-    _row = _Row
+    strict = False
 
     def __init__(self, ball: BallIndex):
         super().__init__()
@@ -168,7 +158,7 @@ class DistanceRows(dict):
         self.walks: dict[tuple[Point, Point], tuple[int, ...]] = {}
 
     def __missing__(self, u: int) -> _Row:
-        row = self[u] = self._row(self.ball, u, self.held)
+        row = self[u] = _Row(self.ball, u, self.held, self.strict)
         return row
 
     def point_row(self, p: Point) -> _Row | _MidRow:
@@ -200,16 +190,16 @@ class DistanceRows(dict):
 class FillRows(DistanceRows):
     """DistanceRows on which a search's result does not depend on the ball.
 
-    A search with t_halves=False on these rows raises BallTooSmall where
-    a larger ball could change its result: at a FAR read, an index miss
-    in a scanned shell, or a shell scan that runs out at the radius
-    (unless no edge leaves the ball).  Otherwise it reads the same
-    shells, ids and exact distances on every larger ball, as vertex ids
-    are a BFS prefix, and returns the same point.  vankampen.fill grows
-    its ball on the signal.
+    Its rows are `strict`.  A search with t_halves=False on these rows
+    raises BallTooSmall where a larger ball could change its result: at
+    a FAR read, an index miss in a scanned shell, or a shell scan that
+    runs out at the radius (unless no edge leaves the ball).  Otherwise
+    it reads the same shells, ids and exact distances on every larger
+    ball, as vertex ids are a BFS prefix, and returns the same point.
+    vankampen.fill grows its ball on the signal.
     """
 
-    _row = _FillRow
+    strict = True
 
 
 def bounded_rows(rows: DistanceRows) -> DistanceRows:
@@ -399,7 +389,7 @@ class _MedianSearch:
         t_halves = self.t_halves
         # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
         x_vertex = self.x.kind == VERTEX
-        strict = isinstance(self.rows, FillRows)
+        strict = self.rows.strict
         # seed returned False, so the best slack is above the cap
         best = self.best_key
         m = 0

@@ -25,18 +25,11 @@ class RewritingSystem:
                  order_labels: list[str] | None = None):
         self.alphabet = alphabet
         if order_labels is None:
-            order_labels = [g.label for g in alphabet.generators]
-        if sorted(order_labels) != sorted(g.label for g in alphabet.generators):
+            order_labels = list(alphabet.labels)
+        if sorted(order_labels) != sorted(alphabet.labels):
             raise InputError("shortlex order must list every generator exactly once")
         self.order = {alphabet.id_of(lab): pos for pos, lab in enumerate(order_labels)}
 
-        seen: set[Rule] = set()
-        full: list[Rule] = []
-        for g in alphabet.generators:
-            r = ((g.id, alphabet.inverse(g.id)), ())
-            if r not in seen:
-                seen.add(r)
-                full.append(r)
         for lhs, rhs in rules:
             alphabet.check_word(lhs)
             alphabet.check_word(rhs)
@@ -45,12 +38,11 @@ class RewritingSystem:
                     f"rule {alphabet.format_word(lhs)} -> {alphabet.format_word(rhs)} "
                     "does not decrease shortlex rank"
                 )
-            r = (tuple(lhs), tuple(rhs))
-            if r not in seen:
-                seen.add(r)
-                full.append(r)
-        self.rules: tuple[Rule, ...] = tuple(full)
-        self._max_lhs = max(len(l) for l, _ in full)
+        free = [((g, alphabet.inverse(g)), ()) for g in range(len(alphabet))]
+        # the free rules first, then the user's, each once
+        self.rules: tuple[Rule, ...] = tuple(dict.fromkeys(
+            free + [(tuple(lhs), tuple(rhs)) for lhs, rhs in rules]))
+        self._max_lhs = max(len(l) for l, _ in self.rules)
 
     def normal_form(self, w: Word) -> Word:
         """Rewrite with the leftmost applicable rule until none applies.

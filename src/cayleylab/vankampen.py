@@ -332,16 +332,6 @@ def canonical_identity_word(group: Group, n: int) -> Word | None:
     return (a,) * j + (b,) * j + (ai,) * j + (bi,) * j
 
 
-def _scan_tasks(group: Group, lengths: list[int], samples: int):
-    tasks = []
-    for n in lengths:
-        for s in range(samples):
-            tasks.append((n, s, None))
-        if canonical_identity_word(group, n) is not None:
-            tasks.append((n, samples, "commutator"))
-    return tasks
-
-
 def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
               policy: ThresholdPolicy = adaptive(), seed: int = 0,
               threads: int = 1) -> AreaScan:
@@ -350,39 +340,41 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
     Each length gets `samples_per_length` random identity words plus the
     canonical commutator word when the family defines one.  The fitted
     exponent is the least-squares slope of log(max cells) against log(n),
-    absent with fewer than two distinct lengths.  The fills run serially
-    in (length, sample index) order; `threads` is accepted and ignored.
+    absent with fewer than two distinct lengths.  Each length's words are
+    drawn, then filled serially; `threads` is accepted and ignored.
 
     A group without closed-form geodesics draws its words from the ball
     of radius n // 2 for the largest length n, where random_identity_word
     walks back; other groups start from the radius-0 ball.  The fills
     start on that ball, and each fill that reads past its edge grows it
-    (see fill) for itself and every later fill.
+    (see fill) for itself and every later fill; a grown ball keeps the
+    vertex ids and BFS tree that the words are drawn from.
     """
     lengths = sorted(set(lengths))
     if not lengths or min(lengths) < 4:
         raise InputError("scan lengths must be at least 4")
-    tasks = _scan_tasks(group, lengths, samples_per_length)
-    if len({n for n, _, _ in tasks}) < len(lengths):
+    if samples_per_length < 0:
+        raise InputError("the sample count must not be negative")
+    if samples_per_length < 1 and any(
+            canonical_identity_word(group, n) is None for n in lengths):
         raise InputError("every scan length needs a word; sample at least one")
 
     closed_form = group.geodesic_word(group.identity()) is not None
     ball = build_ball(group, 0 if closed_form else lengths[-1] // 2)
-    words = [canonical_identity_word(group, n) if kind == "commutator"
-             else random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
-             for n, s, kind in tasks]
-    results = []
-    for (n, s, _), w in zip(tasks, words):  # in (length, sample) order
-        tree = fill(ball, w, policy)
-        ball = tree.ball
-        results.append((n, s, tree.leaf_count, tree.threshold))
-
     records = []
     max_threshold = policy.t0
     for n in lengths:
-        cells = [c for (m, _, c, _) in results if m == n]
-        max_threshold = max([max_threshold] +
-                            [t for (m, _, _, t) in results if m == n])
+        words = [random_identity_word(group, n, f"{seed}:{n}:{s}", ball=ball)
+                 for s in range(samples_per_length)]
+        commutator = canonical_identity_word(group, n)
+        if commutator is not None:
+            words.append(commutator)
+        cells = []
+        for w in words:
+            tree = fill(ball, w, policy)
+            ball = tree.ball
+            cells.append(tree.leaf_count)
+            max_threshold = max(max_threshold, tree.threshold)
         records.append((n, len(cells), max(cells),
                         Fraction(sum(cells), len(cells))))
 

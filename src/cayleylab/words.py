@@ -1,37 +1,26 @@
 """Generator alphabets and plain word operations.
 
 Words are tuples of small integer generator ids.  An alphabet is always
-inverse closed: each base generator `x` is followed by its inverse `x^`,
-and every generator knows the id of its inverse.
+inverse closed: the i-th base generator `x` has id 2i and its inverse
+`x^` has id 2i + 1, so the inverse of id g is g ^ 1.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InputError
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
-
-@dataclass(frozen=True)
-class Generator:
-    id: int
-    label: str
-    inverse_id: int
-
 
 class Alphabet:
-    """An inverse-closed, ordered set of generators.
+    """An inverse-closed, ordered tuple of generator labels.
 
     The declared order of the labels is the shortlex base order used by
     rewriting systems.
     """
 
-    def __init__(self, generators: list[Generator]):
-        self.generators = tuple(generators)
-        self._by_label = {g.label: g.id for g in generators}
+    def __init__(self, labels: list[str]):
+        self.labels = tuple(labels)
+        self._by_label = {lab: g for g, lab in enumerate(labels)}
 
     @classmethod
     def with_inverses(cls, base_labels: list[str]) -> "Alphabet":
@@ -42,25 +31,24 @@ class Alphabet:
         """
         if not base_labels:
             raise InputError("alphabet must be nonempty")
-        gens: list[Generator] = []
+        labels: list[str] = []
         for i, lab in enumerate(base_labels):
             if lab in base_labels[:i]:
                 raise InputError(f"duplicate generator label {lab!r}")
             if lab.endswith("^"):
                 raise InputError(f"generator label {lab!r} ends in '^', "
                                  "which marks inverses")
-            gens += (Generator(2 * i, lab, 2 * i + 1),
-                     Generator(2 * i + 1, lab + "^", 2 * i))
-        return cls(gens)
+            labels += (lab, lab + "^")
+        return cls(labels)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.labels)
 
     def inverse(self, gen_id: int) -> int:
-        return self.generators[gen_id].inverse_id
+        return gen_id ^ 1
 
     def label(self, gen_id: int) -> str:
-        return self.generators[gen_id].label
+        return self.labels[gen_id]
 
     def id_of(self, label: str) -> int:
         try:
@@ -70,14 +58,11 @@ class Alphabet:
 
     def check_word(self, w: Word) -> None:
         for g in w:
-            if not (0 <= g < len(self.generators)):
+            if not (0 <= g < len(self.labels)):
                 raise InputError(f"unknown generator id {g}")
 
     def parse_word(self, text: str, sep: str = ",") -> Word:
         """Parse a word like "a,b,a^" (or space separated)."""
-        text = text.strip()
-        if not text:
-            return EMPTY
         parts = text.split(sep) if sep in text else text.split()
         return tuple(self.id_of(p.strip()) for p in parts if p.strip())
 

@@ -271,6 +271,32 @@ def test_parse_lengths():
 
 
 @pytest.mark.parametrize("argv", [
+    ["dehn-scan", "--group", "z2-std", "--lengths", "8,x"],
+    ["dehn-scan", "--group", "z2-std", "--lengths", "8..x"],
+    ["fill", "--group", "z2-std", "--word", "a,b,a^,b^", "--threshold", "abc"],
+    ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "2", "--delta",
+     "xyz"],
+    ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "2", "--delta",
+     "1/0"],
+])
+def test_malformed_numbers_are_one_line_input_errors(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    message, duration = err.splitlines()
+    assert message == f"input error: bad {argv[-2][2:]} {argv[-1]!r}"
+    assert duration.startswith("duration_s=")
+
+
+def test_negative_sample_count_is_an_input_error(capsys):
+    code, out, err = run(capsys, "dehn-scan", "--group", "z2-std",
+                         "--lengths", "8", "--samples", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["delta", "--group", "z2-std", "--radius", "4", "--domain", "half",
      "--samples", "2000", "--seed", "0", "--json"],
     ["ac", "--group", "z2-std", "--radius", "7", "--nmax", "5",

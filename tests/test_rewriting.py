@@ -59,6 +59,16 @@ def test_empty_rule_set_is_confluent():
     assert check_local_confluence(rs) == []
 
 
+def test_rules_are_free_reductions_then_user_rules_each_once():
+    ab = Alphabet.with_inverses(["a", "b"])
+    a, a_, b, b_ = range(4)
+    # a user rule that repeats a free rule, and one given twice
+    rs = RewritingSystem(ab, [((b, a), (a, b)), ((a, a_), ()),
+                              ((b_, a), (a, b_)), ((b, a), (a, b))])
+    assert rs.rules == (((a, a_), ()), ((a_, a), ()), ((b, b_), ()),
+                        ((b_, b), ()), ((b, a), (a, b)), ((b_, a), (a, b_)))
+
+
 def test_increasing_rule_rejected():
     alphabet = Alphabet.with_inverses(["a", "b"])
     with pytest.raises(InputError):

@@ -381,6 +381,12 @@ def test_dehn_scan_needs_a_word_per_length():
         dehn_scan(get_group("f2"), [8, 12], 0, adaptive(4))
 
 
+def test_dehn_scan_rejects_a_negative_sample_count():
+    # range(-1) is empty, so the scan would fill the commutators alone
+    with pytest.raises(InputError, match="negative"):
+        dehn_scan(get_group("z2-std"), [8], -1, adaptive(4))
+
+
 def test_fill_grows_an_undersized_ball(z2, z2ball):
     # from k = 3 on, the words leave the radius-4 ball; the fill grows its
     # own ball and matches the one made on ball 64

@@ -17,11 +17,11 @@ def w(alphabet, text):
 
 
 def test_alphabet_is_inverse_closed(ab):
-    for g in ab.generators:
-        assert ab.inverse(ab.inverse(g.id)) == g.id
-    labels = [g.label for g in ab.generators]
+    for g in range(len(ab)):
+        assert ab.inverse(ab.inverse(g)) == g
+    labels = [ab.label(g) for g in range(len(ab))]
     assert len(set(labels)) == len(labels)
-    assert [(g.id, g.label, g.inverse_id) for g in ab.generators] == [
+    assert [(g, ab.label(g), ab.inverse(g)) for g in range(len(ab))] == [
         (0, "a", 1), (1, "a^", 0), (2, "b", 3), (3, "b^", 2)]
 
 

@@ -153,6 +153,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["dehn-scan", "--group", "z2-std", "--lengths", "16", "--samples",
          "2", "--threshold", "1"],
         ["dehn-scan", "--group", "z2-std", "--lengths", "10..4"],
+        ["dehn-scan", "--group", "z2-std", "--lengths", "8,12", "--samples",
+         "0"],
+        ["dehn-scan", "--group", "f2", "--lengths", "8", "--samples", "0"],
         # confluence and input errors
         ["check-confluence", "--file", z2_file],
         ["check-confluence", "--file", bad_file],
