@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ball import BallIndex
+from .errors import InputError
 
 
 @dataclass
@@ -76,5 +77,7 @@ def verify_theorem1(ball: BallIndex, n_max: int,
     """C_n against the almost-convexity bound 3*delta_hat + 2 for each
     n <= n_max.  delta_hat underestimates the true constant, so failures
     here are anomalies to examine rather than counterexamples."""
+    if n_max < 0:
+        raise InputError("n_max must be >= 0")
     bound = 3 * delta_hat + 2
     return [ac_constant(ball, n, bound) for n in range(n_max + 1)]

@@ -11,13 +11,23 @@ over a triple domain.  All values are exact rationals with denominator
 dividing 2.
 
 The median search scans candidate points in shells of increasing distance
-from x.  Any t improving a current best slack U must satisfy
-d(x, t) <= d(x, y) + U/2 (because d(t, y) >= d(x, t) - d(x, y)), and any
-t improving only the tie-break must have d(x, t) no larger than the
-incumbent's, so the scan stops once the shell distance passes both
-bounds.  Ties are broken by smaller d(t, x), then smaller d(t, y), then
-vertices before midpoints, then smallest vertex id, which makes the
-result independent of scan order.
+m from x (from its first end when x is a midpoint).  Every t of slack s
+lies in the Gromov annulus
+
+    (y|z)_x - s/2 <= d(x, t) <= min(min(d(x, y), d(x, z)) + s/2, (y|z)_x + s)
+
+because d(t, y) >= d(x, y) - d(x, t), likewise for z, and
+d(t, y) + d(t, z) >= d(y, z).  A point offered at shell m lies within
+1/2 of m for a midpoint x, and within another 1/2 for a midpoint t, so
+the scan skips each shell wholly below the annulus at the best slack so
+far and stops at the first wholly above it: their points can neither
+win nor meet the cap.  It also stops once m passes the older bound
+min(d(x, y) + U/2, the incumbent's d(x, t)) for a best slack U.  That
+bound is not sound, as a strict improver can lie farther from x than
+the incumbent; making it sound is open (ROADMAP).  Ties are broken by
+smaller d(t, x), then smaller d(t, y), then vertices before midpoints,
+then smallest vertex id, which makes the result independent of scan
+order.
 
 A midpoint of an edge at a vertex u lies half a step from u, so each of
 its doubled distances to x, y, z is at least u's minus 1, and its doubled
@@ -37,7 +47,11 @@ Gromov points are walk vertices too) and every midpoint not proved to
 lose, and a midpoint skipped because an earlier offer lowered the best
 slack can neither win nor meet the cap.  So the shell scan starts from
 the same key, with the same bound, and a capped search returns None
-exactly when that key's slack is within the cap.
+exactly when that key's slack is within the cap.  One offer ends the
+seed early: a best slack of 0, after the cap tests, when the scan
+reaches every shell of the slack-0 annulus inside the ball.  Every
+slack-0 point lies at d(x, t) = (y|z)_x, so the scan offers them all and
+the least key among them wins either way.
 
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
@@ -49,6 +63,11 @@ median() makes a fresh cache per call; estimate_delta shares one across
 its triples and vankampen.fill a FillRows one across its splits, and
 bounded_rows starts both afresh past _CACHE_ENTRIES distances (about 45
 bytes each).  None computes a full row.
+
+On FillRows (vankampen.fill) a scanned vertex t outside the ball signals
+BallTooSmall only where it could still win.  Its norm is at least R + 1,
+so d(p, t) >= R + 1 - |p| for p = y, z, and with d(x, t) from its shell
+that bounds its slack from below (outside_loses).
 
 estimate_delta is one serial loop with a running cap, the largest slack
 so far.  Two skips leave its output that of one search per triple:
@@ -192,8 +211,9 @@ class FillRows(DistanceRows):
 
     Its rows are `strict`.  A search with t_halves=False on these rows
     raises BallTooSmall where a larger ball could change its result: at
-    a FAR read, an index miss in a scanned shell, or a shell scan that
-    runs out at the radius (unless no edge leaves the ball).  Otherwise
+    a FAR read, an index miss in a scanned shell at a point that could
+    still win (module docstring), or a shell scan that runs out at the
+    radius (unless no edge leaves the ball).  Otherwise
     it reads the same shells, ids and exact distances on every larger
     ball, as vertex ids are a BFS prefix, and returns the same point.
     vankampen.fill grows its ball on the signal.
@@ -250,6 +270,10 @@ class _MedianSearch:
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
+        # 4 (y|z)_x; the candidates offered at shell m have 2 d(x, t)
+        # within pad of 4m (module docstring)
+        self.g4 = self.dxy2 + self.dzx2 - self.dyz2
+        self.pad = 2 * (x.kind == HALF) + 2 * t_halves
         self.best_key: tuple = (math.inf,)  # above every key
         self.seen_mids: set[tuple[int, int]] = set()
 
@@ -258,6 +282,19 @@ class _MedianSearch:
         doubled slack s, can take the best key (module docstring)."""
         return s - 2 > self.best_key[0] and self.xr[u] < FAR \
             and self.yr[u] < FAR and self.zr[u] < FAR
+
+    def outside_loses(self, m: int) -> bool:
+        """True when no vertex t on shell m outside the ball of radius R
+        can take the best key.  Its norm is at least R + 1, so
+        d(p, t) >= R + 1 - |p| for p = y, z, and d(x, t) >= m - 1/2 (m for
+        a vertex x)."""
+        ball = self.ball
+        out2 = 2 * ball.radius + 2
+        dx = 2 * m - (self.x.kind == HALF)
+        dy = out2 - int(2 * ball.point_norm(self.y))
+        dz = out2 - int(2 * ball.point_norm(self.z))
+        return max(dx + dy - self.dxy2, dy + dz - self.dyz2,
+                   dz + dx - self.dzx2) > self.best_key[0]
 
     def consider_mid(self, u: int, v: int) -> None:
         """Offer the midpoint of edge (u, v), once per search; seed marks
@@ -307,11 +344,15 @@ class _MedianSearch:
         vertex of walk(a, b) at the Gromov product (b|c)_a from its start,
         rounded down, a near-median where slack is small.  The walks offer
         it again, so it only makes the cap and the midpoint skip act
-        sooner (module docstring)."""
+        sooner (module docstring).
+
+        A best slack of 0 ends the step (returns False) once the cap tests
+        are done, when the shell scan reaches the annulus of slack 0."""
         x, y, z = self.x, self.y, self.z
         xr, yr, zr = self.xr, self.yr, self.zr
         dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
         t_halves = self.t_halves
+        zero2 = 0 if (self.g4 + self.pad) // 4 <= self.ball.radius else -1
         if t_halves:
             # a midpoint of the triple lies 0 from itself and the pair
             # distances from the other two points
@@ -335,8 +376,11 @@ class _MedianSearch:
             if 0 < i < len(walk) - 1:
                 tid = walk[i]
                 self._offer(VERTEX, tid, -1, xr[tid], yr[tid], zr[tid])
-                if self.best_key[0] <= cap2:
+                s = self.best_key[0]
+                if s <= cap2:
                     return True
+                if s <= zero2:
+                    return False
         best = self.best_key
         for a, b in ((x, y), (y, z), (z, x)):
             walk = walk_of(a, b)
@@ -356,12 +400,16 @@ class _MedianSearch:
                     key = (s, dx, dy, VERTEX, tid, -1, dz)
                     if key < best:
                         self.best_key = best = key
+                    if s <= zero2:
+                        return False
                 if t_halves and i < end and (
                         s - 2 <= best[0] or not self.mids_lose(tid, s)):
                     self.consider_mid(tid, walk[i + 1])
                     best = self.best_key
                     if best[0] <= cap2:
                         return True
+                    if best[0] <= zero2:
+                        return False
         return best[0] <= cap2
 
     def _result(self) -> MedianResult:
@@ -390,6 +438,7 @@ class _MedianSearch:
         # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
         x_vertex = self.x.kind == VERTEX
         strict = self.rows.strict
+        g4, pad, near2 = self.g4, self.pad, 2 * min(dxy2, dzx2)
         # seed returned False, so the best slack is above the cap
         best = self.best_key
         m = 0
@@ -400,16 +449,23 @@ class _MedianSearch:
                 bound2 = min(dxy2 + best[0] // 2, best[1])
                 if 2 * (m - 1) > bound2:
                     break
+                # every later shell lies above the annulus
+                b = best[0]
+                if 4 * m - pad > min(near2 + b, g4 + 2 * b):
+                    break
             if m > ball.radius:
                 # a larger ball would scan on, unless no edge leaves this one
                 if strict and any(-1 in adj[u]
                                   for u in ball.shell(ball.radius)):
                     raise BallTooSmall("the shell scan ran out at the radius")
                 break
+            if prune and 4 * m + pad < g4 - best[0]:
+                m += 1  # the shell lies below the annulus
+                continue
             for sid in ball.shell(m):
                 tid = index_get(mult(anchor_elem, elements[sid]))
                 if tid is None:
-                    if strict:
+                    if strict and not self.outside_loses(m):
                         raise BallTooSmall("a scanned shell leaves the ball")
                     continue
                 if x_vertex:
@@ -476,6 +532,8 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
 def domain_points(ball: BallIndex, radius: int, domain: str) -> list[Point]:
     """The triple domain: vertices of norm <= radius, plus edge midpoints
     of norm <= radius when domain == "half"."""
+    if radius < 0:
+        raise InputError("domain radius must be >= 0")
     if radius > ball.radius:
         raise InputError("domain radius exceeds ball radius")
     if domain not in ("vertices", "half"):

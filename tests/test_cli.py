@@ -296,6 +296,21 @@ def test_negative_sample_count_is_an_input_error(capsys):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["delta", "--group", "z2-std", "--radius", "-1"],
+     "domain radius must be >= 0"),
+    (["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1", "--delta",
+      "1"], "n_max must be >= 0"),
+])
+def test_negative_sizes_are_one_line_input_errors(argv, message, capsys):
+    # before, both printed an empty result and exited 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == f"input error: {message}"
+    assert len(err.splitlines()) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["delta", "--group", "z2-std", "--radius", "4", "--domain", "half",
      "--samples", "2000", "--seed", "0", "--json"],

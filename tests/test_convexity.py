@@ -4,6 +4,7 @@ import pytest
 
 from cayleylab.ball import build_ball
 from cayleylab.convexity import ac_constant, verify_theorem1
+from cayleylab.errors import InputError
 from cayleylab.groups import RewritingGroup, get_group
 from cayleylab.rewriting import parse_group_file
 
@@ -129,3 +130,10 @@ def test_sphere_pair_values_match_inball_distances():
             else:
                 assert brute[e, f] == d
     assert nones > 0
+
+
+def test_negative_n_max_is_an_input_error():
+    ball = build_ball(get_group("z2-std"), 3)
+    with pytest.raises(InputError, match="n_max must be >= 0"):
+        verify_theorem1(ball, -1, Fraction(1))
+    assert [r.n for r in verify_theorem1(ball, 0, Fraction(1))] == [0]

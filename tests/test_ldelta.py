@@ -169,6 +169,24 @@ def test_median_pruning_soundness(name, radius):
         assert fast.t == slow.t
 
 
+@pytest.mark.parametrize("name,x,y,z", [
+    # the least slack-0 vertex lies at shell 3 from x's end (-2,-1),
+    # with 2 d(x, t) = 4m + 2
+    ("z2-abc", ((-2, -1), (-3, -2)), ((1, 0), (1, 1)), ((2, 1), (3, 1))),
+    # the identity, of slack 1, lies at shell 2 from x's end (-1,-1),
+    # with 2 d(x, t) = 4m + 2
+    ("z2-std", ((-1, -1), (-2, -1)), ((1, 0), (1, 1)), (0, 2)),
+])
+def test_annulus_pads_the_shells_of_a_midpoint_x(name, x, y, z):
+    # a shell-m candidate of a midpoint x lies within 2 of m from x, so
+    # the annulus keeps a shell that lies within pad of it
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    triple = [mid(ball, *p) if isinstance(p[0], tuple) else vp(ball, p)
+              for p in (x, y, z)]
+    assert median(ball, *triple) == median(ball, *triple, prune=False)
+
+
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 @pytest.mark.parametrize("undersized", [False, True])
 def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
@@ -213,6 +231,83 @@ def test_midpoint_skip_keeps_medians(monkeypatch):
     monkeypatch.setattr(ldelta._MedianSearch, "mids_lose",
                         lambda self, u, s: False)
     assert medians() == skipping
+
+
+def test_midpoint_skip_keeps_midpoints_at_a_far_vertex():
+    # on the undersized ball u = (0,0,1), at norm 4, reads FAR from y, yet
+    # its midpoints towards x and z read their other end's exact
+    # distances and tie the median's slack, so they could still win
+    ball = build_ball(get_group("heisenberg"), 4)
+    x, y, z = (vp(ball, e) for e in ((0, 1, 1), (1, 0, -1), (-1, 0, 1)))
+    best = median(ball, x, y, z).slack
+    assert best == 2
+    search = ldelta._MedianSearch(ball, DistanceRows(ball), x, y, z, True)
+    search.best_key = (int(2 * best),)
+    kept = 0
+    for u in range(len(ball)):
+        t = Point.vertex(u)
+        if all(ball.distance(p, t) < FAR for p in (x, y, z)):
+            continue
+        s2 = int(2 * slack(ball, t, x, y, z))
+        for w in ball.adj[u]:
+            if w >= 0 and slack(ball, Point.half(u, w), x, y, z) <= best:
+                assert not search.mids_lose(u, s2)
+                kept += 1
+    assert kept == 2
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+@pytest.mark.parametrize("domain", ["vertices", "half"])
+def test_candidates_lie_in_the_gromov_annulus(name, domain):
+    # every point t of doubled slack s2 has g4 - s2 <= 2 dx2 <= min(near2 +
+    # s2, g4 + 2 s2), and 2 dx2 within pad of 4m at each shell m it is
+    # offered on; a vertex outside the radius-4 ball keeps the lower bound
+    # of outside_loses
+    group = group_of(name)
+    small = build_ball(group, 4)
+    big = build_ball(group, 8, source=small)
+    rows = DistanceRows(big)
+    pts = domain_points(small, 2, domain)
+    t_halves = domain == "half"
+    rng = random.Random(43)
+    checked = outside = 0
+    for _ in range(6):
+        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+        search = ldelta._MedianSearch(small, DistanceRows(small), x, y, z,
+                                      t_halves)
+        g4, pad = search.g4, search.pad
+        near2 = 2 * min(search.dxy2, search.dzx2)
+        triple = [(p, rows.point_row(p)) for p in (x, y, z)]
+
+        def d2(t):  # doubled distances to x, y, z and doubled slack
+            t_row = rows.point_row(t)
+            dx, dy, dz = (0 if p == t else ldelta._d2(p, p_row, t, t_row)
+                          for p, p_row in triple)
+            return dx, max(dx + dy - search.dxy2, dy + dz - search.dyz2,
+                           dz + dx - search.dzx2)
+
+        def shell(u):
+            return rows[x.a][u] // 2
+
+        for u in range(len(big)):
+            if big.dist[u] > 5:
+                break
+            cands = [(Point.vertex(u), (u,))]
+            if t_halves:
+                cands += [(Point.half(u, w), (u, w)) for w in big.adj[u]
+                          if u < w]
+            for t, ends in cands:
+                dx, s2 = d2(t)
+                assert g4 - s2 <= 2 * dx <= min(near2 + s2, g4 + 2 * s2)
+                for e in ends:
+                    assert abs(2 * dx - 4 * shell(e)) <= pad
+                checked += 1
+            m = shell(u)
+            if big.dist[u] > small.radius and m <= small.radius:
+                search.best_key = (d2(Point.vertex(u))[1],)
+                assert not search.outside_loses(m)
+                outside += 1
+    assert checked > 300 and outside > 15
 
 
 @pytest.mark.parametrize("name,radius", [
@@ -612,6 +707,14 @@ def test_domain_points_respect_radius(z2ball):
         for dom in ("vertices", "half"):
             for p in domain_points(z2ball, r, dom):
                 assert z2ball.point_norm(p) <= r
+
+
+def test_negative_domain_radius_is_an_input_error(z2ball):
+    # a domain of norm <= -1 is empty, and its delta-hat of 0 meaningless
+    with pytest.raises(InputError, match="domain radius must be >= 0"):
+        domain_points(z2ball, -1, "vertices")
+    with pytest.raises(InputError, match="domain radius must be >= 0"):
+        estimate_delta(z2ball, -1)
 
 
 def test_estimate_delta_reads_far_at_its_margin(monkeypatch):

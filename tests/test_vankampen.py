@@ -194,7 +194,7 @@ def test_fill_cache_bound_keeps_results(monkeypatch, z2, z2ball):
     gc.disable()
     try:
         assert fill(z2ball, w) == unbounded
-        assert len(made) > 5
+        assert len(made) == 5
         assert all(ref() is None for ref in made)
     finally:
         gc.enable()
@@ -283,7 +283,9 @@ def test_dehn_scan_thread_invariance():
 @pytest.mark.parametrize("threads", [1, 4])
 def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
     # the words are drawn from a ball of radius 24 // 2, and the fills
-    # grow it on demand, by a quarter of its radius and at least 4
+    # grow it on demand, by a quarter of its radius and at least 4: the
+    # z2-std fills need no more than that ball, and a Heisenberg hard word
+    # grows a radius-0 ball three times
     radii = []
 
     def recording_build(group, radius, *args, **kwargs):
@@ -293,9 +295,12 @@ def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
     monkeypatch.setattr(vankampen, "build_ball", recording_build)
     scan = dehn_scan(get_group("z2-std"), [16, 24], 4, adaptive(4), seed=0,
                      threads=threads)
-    assert sorted(radii) == [12, 16]
+    assert sorted(radii) == [12]
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
+    heis = get_group("heisenberg")
+    tree = fill(build_ball(heis, 0), heisenberg_hard_word(heis, 2))
+    assert radii[1:] == [4, 8, 12] and tree.ball.radius == 12
 
 
 def test_dehn_scan_resumes_at_grown_threshold(monkeypatch):
@@ -416,11 +421,14 @@ def search_on_fill_rows(ball, x, y, z):
 
 
 @pytest.mark.parametrize("name,radius,triple,cause", [
-    # from x = a, the shell-2 candidate a a a lies at norm 3
-    ("f2", 2, ((0,), (1,), (2,)), "a scanned shell leaves the ball"),
+    # from x = a the slack-0 annulus is shell 2, where a a a lies at norm
+    # 3; by norms alone it lies at least 1 from y = a^ a^ and z = a^ b, so
+    # it could still be a slack-0 point
+    ("f2", 2, ((0,), (1, 1), (1, 2)), "a scanned shell leaves the ball"),
     ("z2-std", 2, ((0, 0), (1, 0), (2, 0)),
      "a distance read lies beyond the ball"),
-    ("z2-std", 2, ((2, 0), (1, 1), (1, -1)), "geodesic leaves the ball"),
+    # the seed's first walk, a b^ from (1, 1), runs through (2, 1)
+    ("z2-std", 2, ((1, 1), (2, 0), (0, 0)), "geodesic leaves the ball"),
 ])
 def test_fill_search_signals_a_small_ball(name, radius, triple, cause):
     group = get_group(name)
@@ -430,6 +438,45 @@ def test_fill_search_signals_a_small_ball(name, radius, triple, cause):
     assert search_on_fill_rows(big, *triple) == \
         median(big, *(big.point_of_element(e) for e in triple),
                t_halves=False)
+
+
+def test_fill_search_skips_an_outside_point_that_loses(monkeypatch):
+    # from x = a the slack-0 annulus is shell 2, where a a a, a a b and
+    # a a b^ lie outside the ball; at norm 3 they lie at least 2 from
+    # y = a^ and 1 from z = a^ a^, so their slack is at least 2 and they
+    # cannot win
+    f2 = get_group("f2")
+    triple = ((0,), (1,), (1, 1))
+    ball = build_ball(f2, 2)
+    big = build_ball(f2, 6)
+    assert search_on_fill_rows(ball, *triple) == \
+        search_on_fill_rows(big, *triple)
+    monkeypatch.setattr(ldelta._MedianSearch, "outside_loses",
+                        lambda self, m: False)
+    with pytest.raises(BallTooSmall, match="a scanned shell leaves the ball"):
+        search_on_fill_rows(ball, *triple)
+
+
+def test_dehn_scan_reads_only_the_annulus(monkeypatch):
+    # the fills' searches skip the shells outside the Gromov annulus and
+    # the outside points that lose, so the words' radius-24 ball suffices
+    radii, distances = [], [0]
+    vertex_distance = BallIndex.vertex_distance
+
+    def recording_build(group, radius, *args, **kwargs):
+        radii.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    def counted(self, u, v):
+        distances[0] += 1
+        return vertex_distance(self, u, v)
+
+    monkeypatch.setattr(vankampen, "build_ball", recording_build)
+    monkeypatch.setattr(BallIndex, "vertex_distance", counted)
+    dehn_scan(get_group("z2-std"), [32, 48], 2, adaptive(4), seed=0)
+    # scanning every shell from 0 read 4,790 distances on radii 24 and 30
+    assert radii == [24]
+    assert distances[0] <= 2_000
 
 
 def test_fill_search_signals_a_scan_that_runs_out(tmp_path):

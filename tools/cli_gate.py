@@ -164,6 +164,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["median", "--group", "z2-std", "--radius", "3", "--x", "q",
          "--y", "a", "--z", "b"],
         ["delta", "--group", "z2-std"],
+        ["delta", "--group", "z2-std", "--radius", "-1"],
+        ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1",
+         "--delta", "1"],
     ]
 
 
