@@ -11,6 +11,11 @@ of vertices below norm r agree, and only the outer shell's rows differ,
 keeping just in-ball ids.  build_ball(..., source=b) uses this to grow a
 ball by resuming the BFS of a smaller one.
 
+For a bipartite group (Group.bipartite: no relator of odd length) the
+outer shell costs no group product: every edge joins shells n and n + 1,
+so an outer vertex's in-ball edges are exactly the reversed edges into
+it from the expanded shell below, and its row is filled from those.
+
 The ball is connected: each vertex joins the identity along its BFS-tree
 edge, and a group's edges go both ways (RewritingGroup checks definition
 files for confluence, so they define groups too).  So every search inside
@@ -141,6 +146,15 @@ class BallIndex:
         expanded vertex's adjacency row comes from the same apply calls
         that discover its neighbours.  Rows below vid must already be
         expanded.
+
+        The outer shell R costs one apply per generator, unless the group
+        is bipartite.  Then no edge joins two vertices of shell R, and its
+        edges to shell R + 1 leave the ball, so its only in-ball
+        neighbours lie in shell R - 1, whose rows are complete: an outer
+        row is -1 except where a row of shell R - 1 reaches it,
+        adj[u][g] = w, which gives adj[w][g ^ 1] = u.  The rows equal
+        those the apply calls would give, also for R = 0 (no shell
+        below) and for a BFS that ends before R (no outer shell).
         """
         elements, index, dist = self.elements, self.index, self.dist
         parent_gen, adj = self.parent_gen, self.adj
@@ -165,8 +179,16 @@ class BallIndex:
             adj.append(row)
             vid += 1
         # the outer shell is never expanded; its rows keep only in-ball edges
-        for e in elements[vid:]:
-            adj.append([index.get(apply(e, gen), -1) for gen in gens])
+        if not self.group.bipartite:
+            for e in elements[vid:]:
+                adj.append([index.get(apply(e, gen), -1) for gen in gens])
+            return
+        adj.extend([-1] * len(gens) for _ in range(vid, len(elements)))
+        for e in elements[bisect_left(dist, radius - 1, 0, vid):vid]:
+            u = index[e]  # the index's own int, as in every other row
+            for gen, w in enumerate(adj[u]):
+                if w >= vid:
+                    adj[w][gen ^ 1] = u
 
     # -- basic structure ---------------------------------------------------
 
@@ -269,7 +291,7 @@ class BallIndex:
         while vid != self.identity_id:
             gen = self.parent_gen[vid]
             letters.append(gen)
-            vid = self.adj[vid][self.group.alphabet.inverse(gen)]
+            vid = self.adj[vid][gen ^ 1]
         return tuple(reversed(letters))
 
     def vertex_geodesic_word(self, u: int, v: int) -> Word:

@@ -148,7 +148,8 @@ def cmd_ac(args) -> int:
     group = get_group(args.group)
     ball = build_ball(group, args.radius)
     delta_hat = args.delta
-    if delta_hat == "auto":
+    # a negative n_max is verify_theorem1's input error; estimate nothing
+    if delta_hat == "auto" and args.nmax >= 0:
         dom_r = min(args.nmax, max(args.radius - 2, 1))
         # C_n reads only B_n, so the margin serves the estimate alone
         need = recommended_ball_radius(group, dom_r)

@@ -19,10 +19,17 @@ Element = tuple
 
 
 class Group:
-    """A group family instance: alphabet plus generator actions."""
+    """A group family instance: alphabet plus generator actions.
+
+    `bipartite` is True only when no relator has odd length: then word
+    length mod 2 is well defined on elements, so every edge of the
+    Cayley graph joins shells n and n + 1 and none joins two vertices of
+    one shell.  False is always safe; it only gives up that shortcut.
+    """
 
     name: str
     alphabet: Alphabet
+    bipartite = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -79,9 +86,18 @@ class ZnGroup(Group):
     def inverse(self, e: Element) -> Element:
         return (-e[0], -e[1])
 
+    @property
+    def bipartite(self) -> bool:
+        # some map (x, y) -> a x + b y mod 2 sends every generator to 1;
+        # computed when read, so that construction does no work for it
+        return any(all((a * x + b * y) % 2 for x, y in self._vectors)
+                   for a in (0, 1) for b in (0, 1))
+
 
 class FreeGroup(Group):
     """The free group F_k; elements are freely reduced words."""
+
+    bipartite = True
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -95,7 +111,7 @@ class FreeGroup(Group):
         return ()
 
     def apply(self, e: Element, gen_id: int) -> Element:
-        if e and self.alphabet.inverse(e[-1]) == gen_id:
+        if e and e[-1] ^ 1 == gen_id:
             return e[:-1]
         return e + (gen_id,)
 
@@ -125,6 +141,8 @@ class HeisenbergGroup(Group):
     b-exponent q and center coordinate r, multiplied by
     (p,q,r)*(p',q',r') = (p+p', q+q', r+r'+p*q').
     """
+
+    bipartite = True  # p + q mod 2 counts the letters of a word mod 2
 
     def __init__(self):
         self.name = "heisenberg"
@@ -161,6 +179,10 @@ class RewritingGroup(Group):
         self.name = name
         self.rs = rs
         self.alphabet = rs.alphabet
+        # rules that keep word length mod 2, the free ones included, keep
+        # it on normal forms too
+        self.bipartite = all((len(lhs) - len(rhs)) % 2 == 0
+                             for lhs, rhs in rs.rules)
 
     def identity(self) -> Element:
         return ()

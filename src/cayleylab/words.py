@@ -74,7 +74,7 @@ def free_reduce(alphabet: Alphabet, w: Word) -> Word:
     """Delete adjacent letter/inverse pairs until none remain."""
     out: list[int] = []
     for g in w:
-        if out and alphabet.inverse(out[-1]) == g:
+        if out and out[-1] ^ 1 == g:
             out.pop()
         else:
             out.append(g)
@@ -83,7 +83,7 @@ def free_reduce(alphabet: Alphabet, w: Word) -> Word:
 
 def invert(alphabet: Alphabet, w: Word) -> Word:
     """The reversed sequence of letter inverses."""
-    return tuple(alphabet.inverse(g) for g in reversed(w))
+    return tuple(g ^ 1 for g in reversed(w))
 
 
 def concat(*words: Word) -> Word:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -251,11 +252,22 @@ BALL_FIELDS = ("elements", "index", "dist", "parent_gen", "adj", "shell_start",
                "radius", "max_vertices")
 
 
+# cyclic groups Z/n on one generator, for the bipartite tests below
+CYCLIC_RULES_TEXT = {
+    "c1-rules": "a -> \na^ -> \n",
+    "c2-rules": "a^ -> a\na a -> \n",
+    "c6-rules": "a a a a -> a^ a^\na^ a^ a^ -> a a a\n",
+}
+
+
 def _named_group(name):
     if name == "z2-rules":
         return RewritingGroup(name, parse_group_file(Z2_RULES_TEXT)[1])
     if name == "z5-rules":
         return RewritingGroup(name, parse_group_file(Z5_RULES_TEXT)[1])
+    if name in CYCLIC_RULES_TEXT:
+        text = "generators: a\norder: a a^\n" + CYCLIC_RULES_TEXT[name]
+        return RewritingGroup(name, parse_group_file(text)[1])
     return get_group(name)
 
 
@@ -302,3 +314,62 @@ def test_ball_from_source_hits_the_cap_like_a_fresh_build():
 def test_ball_from_source_of_another_group_rejected():
     with pytest.raises(InputError):
         build_ball(get_group("z2-std"), 2, source=build_ball(get_group("f2"), 3))
+
+
+# -- the outer shell of a bipartite group -------------------------------------
+
+BIPARTITE = {"f2": True, "f3": True, "heisenberg": True, "z2-std": True,
+             "z2-rules": True, "c2-rules": True, "c6-rules": True,
+             "z2-abc": False, "c1-rules": False, "z5-rules": False}
+
+
+def _not_bipartite(group):
+    """A copy of group whose bipartite reads False, so that its balls
+    find their outer shell's edges by group products."""
+    plain = copy.copy(group)
+    plain.__class__ = type("Plain", (type(group),),
+                           {"bipartite": property(lambda self: False)})
+    return plain
+
+
+@pytest.mark.parametrize("name", sorted(BIPARTITE))
+def test_bipartite_outer_shell_equals_the_product_build(name):
+    group = _named_group(name)
+    plain = _not_bipartite(group)
+    assert not plain.bipartite
+    for r in range(6):
+        expected = build_ball(plain, r)
+        balls = [build_ball(group, r)]
+        balls += [build_ball(group, r, source=build_ball(group, r0))
+                  for r0 in range(r)]
+        for r0, ball in enumerate(balls, -1):
+            for field in BALL_FIELDS:
+                assert getattr(ball, field) == getattr(expected, field), \
+                    (r0, r, field)
+
+
+@pytest.mark.parametrize("name", sorted(BIPARTITE))
+def test_bipartite_iff_no_edge_within_a_shell(name):
+    group = _named_group(name)
+    assert group.bipartite is BIPARTITE[name]
+    ball = build_ball(_not_bipartite(group), 4)  # every row from products
+    same_shell = any(ball.dist[u] == ball.dist[w]
+                     for u, row in enumerate(ball.adj) for w in row if w >= 0)
+    assert group.bipartite is not same_shell
+
+
+def test_bipartite_build_skips_the_outer_shell_products():
+    group = get_group("f2")
+    calls = 0
+    apply = group.apply
+
+    def counted(e, gen):
+        nonlocal calls
+        calls += 1
+        return apply(e, gen)
+
+    group.apply = counted
+    build_ball(group, 6)
+    # one product per generator on each vertex of B_5; a build that also
+    # multiplies out the outer shell makes 4 |B_6| = 5,828
+    assert calls == 4 * 485

@@ -301,6 +301,9 @@ def test_negative_sample_count_is_an_input_error(capsys):
      "domain radius must be >= 0"),
     (["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1", "--delta",
       "1"], "n_max must be >= 0"),
+    # the default --delta auto checks n_max before it estimates delta
+    (["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1"],
+     "n_max must be >= 0"),
 ])
 def test_negative_sizes_are_one_line_input_errors(argv, message, capsys):
     # before, both printed an empty result and exited 0

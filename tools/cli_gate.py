@@ -6,9 +6,10 @@ PARENT and CHANGE are repository roots.  Every configuration below runs
 as `python -m cayleylab.cli ...` once per tree, with that tree's `src`
 on PYTHONPATH, one process at a time.  The gate compares stdout, the
 exit code and stderr without its `duration_s=` line.  It prints one line
-per configuration and exits 1 if any differ.  A configuration the parent
-does not finish within the timeout is reported and not compared.
-Stdlib only.
+per configuration, with the exit code (`exit=P->C` when the two differ)
+and on a DIFF line the parts that differ, and exits 1 if any differ.  A
+configuration the parent does not finish within the timeout is reported
+and not compared.  Stdlib only.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import tempfile
 import time
 
 TIMEOUT_S = 120
+PARTS = ("exit code", "stdout", "stderr")  # the fields of a run's result
 
 Z2_RULES = """\
 # Z^2 on a, b
@@ -52,6 +54,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["ball", "--group", "z2-abc", "--radius", "2"],
         ["ball", "--group", "heisenberg", "--radius", "2"],
         ["ball", "--group", z2_file, "--radius", "2"],
+        ["ball", "--group", "f3", "--radius", "3", "--dot"],
+        ["ball", "--group", "heisenberg", "--radius", "3", "--dot"],
+        ["ball", "--group", z2_file, "--radius", "3", "--dot"],
         # delta
         ["delta", "--group", "z2-std", "--radius", "4", "--domain",
          "vertices", "--exhaustive", "--json"],
@@ -167,6 +172,7 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["delta", "--group", "z2-std", "--radius", "-1"],
         ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1",
          "--delta", "1"],
+        ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1"],
     ]
 
 
@@ -206,12 +212,15 @@ def main() -> int:
                 print(f"SKIP  parent timed out  {label}")
                 continue
             after, t_after = run(change, argv, tmp)
-            if after == before:
-                status = "same"
+            if after is None:
+                status, code = "DIFF timeout", f"{before[0]}->timeout"
             else:
-                status = "DIFF"
-                failed += 1
-            code = "timeout" if after is None else after[0]
+                differ = [part for part, b, a in zip(PARTS, before, after)
+                          if b != a]
+                status = f"DIFF {', '.join(differ)}" if differ else "same"
+                code = (f"{after[0]}" if after[0] == before[0]
+                        else f"{before[0]}->{after[0]}")
+            failed += status != "same"
             print(f"{status}  exit={code}  {t_before:6.2f}s -> "
                   f"{t_after:6.2f}s  {label}", flush=True)
     print(f"{len(configs)} configurations, {failed} differ")
