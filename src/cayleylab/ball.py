@@ -106,7 +106,6 @@ class BallIndex:
         self.group = group
         self.radius = radius
         self.max_vertices = max_vertices
-        self.identity_id = 0
 
         if source is None:
             self.elements: list[Element] = [group.identity()]
@@ -288,7 +287,7 @@ class BallIndex:
         if vid is None:
             raise BallTooSmall("element outside ball")
         letters: list[int] = []
-        while vid != self.identity_id:
+        for _ in range(self.dist[vid]):  # a BFS parent is one step nearer
             gen = self.parent_gen[vid]
             letters.append(gen)
             vid = self.adj[vid][gen ^ 1]

@@ -176,7 +176,7 @@ def _tree_lines(ball, node, indent, lines) -> None:
 
 def cmd_fill(args) -> int:
     group = get_group(args.group)
-    w = free_reduce(group.alphabet, group.alphabet.parse_word(args.word))
+    w = free_reduce(group.alphabet.parse_word(args.word))
     # fill checks the word first, then grows the ball whenever it reads
     # past the edge
     ball = build_ball(group, 0)
@@ -188,7 +188,7 @@ def cmd_fill(args) -> int:
                  f"leaves={tree.leaf_count} max_leaf={tree.max_leaf_length}"]
         _tree_lines(ball, tree.root, 0, lines)
     elif args.emit == "product":
-        prod = to_conjugate_product(ball, tree)
+        prod = to_conjugate_product(tree)
         lines = [f"{fmt_word(g) or '1'}\t{fmt_word(r) or '1'}"
                  for g, r in prod.factors]
     else:  # dot

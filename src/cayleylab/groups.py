@@ -122,7 +122,7 @@ class FreeGroup(Group):
         return e
 
     def inverse(self, e: Element) -> Element:
-        return invert(self.alphabet, e)
+        return invert(e)
 
     def exact_norm(self, e: Element) -> int:
         return len(e)
@@ -194,11 +194,11 @@ class RewritingGroup(Group):
         return self.rs.normal_form(a + b)
 
     def inverse(self, e: Element) -> Element:
-        return self.rs.normal_form(invert(self.alphabet, e))
+        return self.rs.normal_form(invert(e))
 
     def evaluate(self, w: Word) -> Element:
         self.alphabet.check_word(w)
-        return self.rs.normal_form(free_reduce(self.alphabet, tuple(w)))
+        return self.rs.normal_form(free_reduce(tuple(w)))
 
     def format_element(self, e: Element) -> str:
         return self.alphabet.format_word(e) if e else "1"

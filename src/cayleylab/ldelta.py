@@ -21,10 +21,8 @@ d(t, y) + d(t, z) >= d(y, z).  A point offered at shell m lies within
 1/2 of m for a midpoint x, and within another 1/2 for a midpoint t, so
 the scan skips each shell wholly below the annulus at the best slack so
 far and stops at the first wholly above it: their points can neither
-win nor meet the cap.  It also stops once m passes the older bound
-min(d(x, y) + U/2, the incumbent's d(x, t)) for a best slack U.  That
-bound is not sound, as a strict improver can lie farther from x than
-the incumbent; making it sound is open (ROADMAP).  Ties are broken by
+win nor meet the cap.  The annulus is the scan's only pruning rule, so
+a pruned search returns the point of the unpruned one.  Ties are broken by
 smaller d(t, x), then smaller d(t, y), then vertices before midpoints,
 then smallest vertex id, which makes the result independent of scan
 order.
@@ -444,11 +442,6 @@ class _MedianSearch:
         m = 0
         while True:
             if prune:
-                # any improver satisfies 2 d(x,t) <= min(dxy2 + slack2, best dx2),
-                # and shell-m candidates all have 2 d(x,t) >= 2(m-1)
-                bound2 = min(dxy2 + best[0] // 2, best[1])
-                if 2 * (m - 1) > bound2:
-                    break
                 # every later shell lies above the annulus
                 b = best[0]
                 if 4 * m - pad > min(near2 + b, g4 + 2 * b):

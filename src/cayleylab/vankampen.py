@@ -99,14 +99,14 @@ class AreaScan:
     threshold: int
 
 
-def trisection_cells(alphabet, a: Word, b: Word, c: Word, p: Word, q: Word,
+def trisection_cells(a: Word, b: Word, c: Word, p: Word, q: Word,
                      r: Word) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     """Cell words and conjugators of the decomposition identity.
 
     The conjugated product of the cells freely reduces to a b c for any
     six words; the geometry only enters through the choice of p, q, r.
     """
-    pi, qi, ri = (invert(alphabet, w) for w in (p, q, r))
+    pi, qi, ri = (invert(w) for w in (p, q, r))
     cells = (concat(a, p, ri), concat(b, q, pi), concat(c, r, qi))
     conjs = ((), concat(r, pi), concat(r, qi))
     return cells, conjs
@@ -167,17 +167,16 @@ def split_loop(ball: BallIndex, loop: Loop,
     r = ball.vertex_geodesic_word(zid, tid)
     a, b, c = word[:n1], word[n1:n2], word[n2:]
 
-    alphabet = ball.group.alphabet
-    cells, conjs = trisection_cells(alphabet, a, b, c, p, q, r)
-    witness = concat(cells[0], conjs[1], cells[1], invert(alphabet, conjs[1]),
-                     conjs[2], cells[2], invert(alphabet, conjs[2]))
-    if free_reduce(alphabet, witness) != free_reduce(alphabet, word):
+    cells, conjs = trisection_cells(a, b, c, p, q, r)
+    witness = concat(cells[0], conjs[1], cells[1], invert(conjs[1]),
+                     conjs[2], cells[2], invert(conjs[2]))
+    if free_reduce(witness) != free_reduce(word):
         raise InternalError("trisection decomposition identity failed")
 
     bases = (loop.base, ball.elements[xid], ball.elements[yid])
     children = []
     for base, cell in zip(bases, cells):
-        child = Loop(base, free_reduce(alphabet, cell))
+        child = Loop(base, free_reduce(cell))
         if len(child.word) >= n:
             raise ContractionError(child)
         children.append(child)
@@ -249,7 +248,7 @@ def fill(ball: BallIndex, w: Word,
     median searches, which starts afresh when the ball grows.
     """
     group = ball.group
-    w = free_reduce(group.alphabet, tuple(w))
+    w = free_reduce(tuple(w))
     if group.evaluate(w) != group.identity():
         raise InputError("fill needs a word evaluating to the identity")
     threshold = policy.t0
@@ -271,20 +270,18 @@ def fill(ball: BallIndex, w: Word,
             splits.grow()
 
 
-def to_conjugate_product(ball: BallIndex, tree: SubdivisionTree,
-                         ) -> ConjugateProduct:
+def to_conjugate_product(tree: SubdivisionTree) -> ConjugateProduct:
     """Flatten a subdivision tree into Van Kampen factors g_i r_i g_i^-1.
 
     Leaves are visited left to right; each contributes its loop word
     conjugated by the accumulated path from the root base to its own
     base.  The flattening is re-verified by free reduction.
     """
-    alphabet = ball.group.alphabet
     factors: list[tuple[Word, Word]] = []
 
     def walk(node: SubdivisionNode, prefix: Word) -> None:
         if node.is_leaf:
-            factors.append((free_reduce(alphabet, prefix), node.loop.word))
+            factors.append((free_reduce(prefix), node.loop.word))
             return
         for child, conj in zip(node.children, node.conjugators):
             walk(child, concat(prefix, conj))
@@ -292,9 +289,9 @@ def to_conjugate_product(ball: BallIndex, tree: SubdivisionTree,
     walk(tree.root, ())
     product: list[int] = []
     for g, rel in factors:
-        product.extend(concat(g, rel, invert(alphabet, g)))
+        product.extend(concat(g, rel, invert(g)))
     w = tree.root.loop.word
-    if free_reduce(alphabet, tuple(product)) != free_reduce(alphabet, w):
+    if free_reduce(tuple(product)) != free_reduce(w):
         raise InternalError("conjugate product failed free-reduction check")
     return ConjugateProduct(factors)
 
@@ -318,7 +315,7 @@ def random_identity_word(group: Group, n: int, seed,
         if ball is None or ball.index.get(e) is None:
             ball = build_ball(group, steps)
         back = ball.word_to(e)
-    return free_reduce(group.alphabet, walk + invert(group.alphabet, back))
+    return free_reduce(walk + invert(back))
 
 
 def canonical_identity_word(group: Group, n: int) -> Word | None:

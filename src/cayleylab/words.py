@@ -70,7 +70,7 @@ class Alphabet:
         return sep.join(self.label(g) for g in w)
 
 
-def free_reduce(alphabet: Alphabet, w: Word) -> Word:
+def free_reduce(w: Word) -> Word:
     """Delete adjacent letter/inverse pairs until none remain."""
     out: list[int] = []
     for g in w:
@@ -81,7 +81,7 @@ def free_reduce(alphabet: Alphabet, w: Word) -> Word:
     return tuple(out)
 
 
-def invert(alphabet: Alphabet, w: Word) -> Word:
+def invert(w: Word) -> Word:
     """The reversed sequence of letter inverses."""
     return tuple(g ^ 1 for g in reversed(w))
 

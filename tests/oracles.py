@@ -3,7 +3,8 @@
 Everything here is written against the raw group definitions, not the
 library's ball or distance machinery, so the two routes stay independent.
 The one exception is plain_exhaustive_delta, a reference loop around the
-library's own median search that estimate_delta's skips must reproduce.
+library's own median search, unpruned, that estimate_delta's skips and
+pruning must reproduce.
 """
 from __future__ import annotations
 
@@ -212,7 +213,7 @@ def plain_exhaustive_delta(ball, radius: int, domain: str, triples=None):
     """(value, witness, witness_median, triples examined) from one median
     search per triple of domain indices, combinations order by default,
     under a running cap; the witness is the earliest triple attaining the
-    maximum.  No pre-filter and no translation classes."""
+    maximum.  No pre-filter, no translation classes and no shell pruning."""
     from cayleylab.ldelta import DistanceRows, domain_points, median
 
     points = domain_points(ball, radius, domain)
@@ -223,7 +224,7 @@ def plain_exhaustive_delta(ball, radius: int, domain: str, triples=None):
     for i, j, k in triples:
         count += 1
         med = median(ball, points[i], points[j], points[k], cap=cap,
-                     _rows=rows)
+                     prune=False, _rows=rows)
         if med is not None and med.slack > cap:
             cap, best = med.slack, ((points[i], points[j], points[k]), med)
     return (max(cap, Fraction(0)),) + best + (count,)

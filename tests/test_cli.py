@@ -106,6 +106,15 @@ def test_median_builds_the_margin_its_points_need(capsys):
     assert "slack=2/1" in outs[0][1]
 
 
+def test_heisenberg_exhaustive_delta_at_radius_3(capsys):
+    # a stop at the incumbent's d(x, t) once dropped the median of
+    # (-1,0,-1), (0,-1,1), (1,2,1) and printed value=4/1
+    code, out, _ = run(capsys, "delta", "--group", "heisenberg", "--radius",
+                       "3", "--domain", "vertices", "--exhaustive")
+    assert code == 0
+    assert "value=2/1" in out.splitlines()
+
+
 def test_median_pair_slacks_are_nonnegative(capsys):
     # each pair slack is a triangle-inequality excess
     code, out, _ = run(capsys, "median", "--group", "heisenberg", "--radius",
@@ -126,17 +135,18 @@ def test_ac_auto_estimates_delta_at_the_margin(monkeypatch, capsys):
     code, out, _ = run(capsys, "ac", "--group", "heisenberg", "--radius", "7",
                        "--nmax", "5")
     assert code == 0
-    # the estimate runs at recommended_ball_radius(heisenberg, 5) == 12;
-    # C_n reads B_n only, so the report is the one from before the margin
+    # the estimate runs at recommended_ball_radius(heisenberg, 5) == 12,
+    # where the exact delta-hat is 4, so the bound is 3 * 4 + 2; C_n reads
+    # B_n only, so the report is the one from before the margin
     assert radii == [7, 12]
     assert out.splitlines() == [
         "n,pairs,C_n,bound,pass",
-        "0,0,0,17/1,true",
-        "1,6,2,17/1,true",
-        "2,12,2,17/1,true",
-        "3,68,6,17/1,true",
-        "4,164,6,17/1,true",
-        "5,364,10,17/1,true",
+        "0,0,0,14/1,true",
+        "1,6,2,14/1,true",
+        "2,12,2,14/1,true",
+        "3,68,6,14/1,true",
+        "4,164,6,14/1,true",
+        "5,364,10,14/1,true",
     ]
 
 
@@ -331,15 +341,49 @@ def test_payload_thread_invariance(argv, capsys):
 
 
 # stdout from before fills grew their ball on demand, when the first of
-# these built a radius-46 ball of 1.9M vertices and took 18 s
+# these built a radius-46 ball of 1.9M vertices and took 18 s; the first
+# was re-derived when the median search lost its stop at the incumbent's
+# d(x, t), as the fill then passes at T = 8
 FROZEN_PAYLOADS = [
-    (["fill", "--group", "heisenberg", "--word",
-      "a,a,b,b,a^,a^,b^,b^,a,a,b,b,a,a,b^,b^,a^,a^,a^,a^", "--emit", "tree"],
-     "threshold=16 depth=1 leaves=3 max_leaf=14\n"
-     "split n=20 base=(0,0,0)\n"
-     "  leaf n=14 base=(0,0,0)\n"
-     "  leaf n=14 base=(0,2,4)\n"
-     "  leaf n=14 base=(4,2,8)\n"),
+    pytest.param(
+        ["fill", "--group", "heisenberg", "--word",
+         "a,a,b,b,a^,a^,b^,b^,a,a,b,b,a,a,b^,b^,a^,a^,a^,a^", "--emit", "tree"],
+        "threshold=8 depth=4 leaves=23 max_leaf=8\n"
+        "split n=20 base=(0,0,0)\n"
+        "  split n=14 base=(0,0,0)\n"
+        "    leaf n=8 base=(0,0,0)\n"
+        "    split n=12 base=(2,2,4)\n"
+        "      split n=10 base=(2,2,4)\n"
+        "        leaf n=0 base=(2,2,4)\n"
+        "        leaf n=8 base=(0,1,4)\n"
+        "        leaf n=0 base=(1,0,2)\n"
+        "      leaf n=0 base=(1,1,4)\n"
+        "      split n=10 base=(1,-1,0)\n"
+        "        leaf n=0 base=(1,-1,0)\n"
+        "        leaf n=8 base=(2,1,2)\n"
+        "        leaf n=8 base=(1,0,2)\n"
+        "    leaf n=0 base=(2,0,2)\n"
+        "  split n=14 base=(0,2,4)\n"
+        "    leaf n=0 base=(0,2,4)\n"
+        "    split n=12 base=(2,0,4)\n"
+        "      leaf n=8 base=(2,0,4)\n"
+        "      split n=10 base=(4,2,8)\n"
+        "        leaf n=0 base=(4,2,8)\n"
+        "        leaf n=8 base=(2,1,4)\n"
+        "        leaf n=8 base=(2,1,5)\n"
+        "      leaf n=8 base=(1,1,4)\n"
+        "    leaf n=0 base=(3,1,4)\n"
+        "  split n=14 base=(4,2,8)\n"
+        "    leaf n=0 base=(4,2,8)\n"
+        "    split n=12 base=(2,0,0)\n"
+        "      leaf n=8 base=(2,0,0)\n"
+        "      leaf n=8 base=(1,-1,0)\n"
+        "      split n=10 base=(3,1,4)\n"
+        "        leaf n=8 base=(3,1,4)\n"
+        "        leaf n=8 base=(3,0,0)\n"
+        "        leaf n=0 base=(1,0,1)\n"
+        "    leaf n=0 base=(2,0,2)\n",
+        id="heisenberg-w2-tree"),
     (["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16"],
      "n,samples,max_cells,mean_cells\n8,10,1,1/1\n12,10,3,6/5\n"
      "16,10,3,7/5\nslope,1.6588\nreference,2.7095\nthreshold,16\n"),

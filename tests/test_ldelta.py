@@ -154,19 +154,41 @@ def test_median_z2_abc_positive():
 
 
 @pytest.mark.parametrize("name,radius", [
-    ("z2-std", 4), ("z2-abc", 4), ("f2", 4), ("heisenberg", 3),
+    ("z2-std", 4), ("z2-abc", 4), ("z2-abc", 3), ("f2", 4), ("heisenberg", 3),
 ])
 def test_median_pruning_soundness(name, radius):
+    # 300 seeded triples per domain and t_halves; z2-abc r3 and
+    # heisenberg r3 hold medians farther from x than an earlier candidate
+    # of larger slack
     group = get_group(name)
     ball = build_ball(group, recommended_ball_radius(group, radius))
-    pts = domain_points(ball, radius, "half")
-    rng = random.Random(123)
-    for _ in range(60):
-        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
-        fast = median(ball, x, y, z)
-        slow = median(ball, x, y, z, prune=False)
-        assert fast.slack == slow.slack
-        assert fast.t == slow.t
+    for domain in ("vertices", "half"):
+        pts = domain_points(ball, radius, domain)
+        for t_halves in (True, False):
+            rng = random.Random(7)
+            for _ in range(300):
+                x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+                fast = median(ball, x, y, z, t_halves=t_halves)
+                slow = median(ball, x, y, z, t_halves=t_halves, prune=False)
+                assert (fast.slack, fast.t) == (slow.slack, slow.t), \
+                    (domain, t_halves, x, y, z)
+
+
+@pytest.mark.parametrize("name,x,y,z,value", [
+    # the median lies farther from x than the seed's best, t = x of
+    # slack 4, which a stop at the incumbent's d(x, t) never reached
+    ("heisenberg", (-1, 0, -1), (0, -1, 1), (1, 2, 1), 2),
+    # the same on a Z^2 group with a midpoint x (that stop gave slack 2)
+    ("z2-abc", ((0, -2), (-1, -2)), (-3, -1), (0, 3), 1),
+])
+def test_median_repro_triples(name, x, y, z, value):
+    group = get_group(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    triple = [mid(ball, *p) if isinstance(p[0], tuple) else vp(ball, p)
+              for p in (x, y, z)]
+    fast = median(ball, *triple)
+    assert fast.slack == value
+    assert fast == median(ball, *triple, prune=False)
 
 
 @pytest.mark.parametrize("name,x,y,z", [

@@ -43,12 +43,12 @@ def test_trisection_identity_random_words(z2):
         a, b, c, p, q, r = (tuple(rng.randrange(len(ab))
                                   for _ in range(rng.randrange(8)))
                             for _ in range(6))
-        cells, conjs = trisection_cells(ab, a, b, c, p, q, r)
+        cells, conjs = trisection_cells(a, b, c, p, q, r)
         product = []
         for cell, conj in zip(cells, conjs):
-            product.extend(concat(conj, cell, invert(ab, conj)))
-        assert free_reduce(ab, tuple(product)) == \
-            free_reduce(ab, concat(a, b, c))
+            product.extend(concat(conj, cell, invert(conj)))
+        assert free_reduce(tuple(product)) == \
+            free_reduce(concat(a, b, c))
 
 
 # -- split_loop -------------------------------------------------------------
@@ -145,14 +145,12 @@ def test_fill_shared_cache_matches_fresh_caches(monkeypatch, name, lengths):
         words += [commutator(group, k) for k in range(2, 6)]
     else:
         # Heisenberg commutators are central, so these are identities
-        ab = group.alphabet
-
         def comm(u, v):
-            return concat(u, v, invert(ab, u), invert(ab, v))
+            return concat(u, v, invert(u), invert(v))
 
         a, b = (0,), (2,)
         words += [comm(comm(a, b), a), comm(comm(a, b), b * 2),
-                  free_reduce(ab, comm(a, b * 2) + invert(ab, comm(a * 2, b)))]
+                  free_reduce(comm(a, b * 2) + invert(comm(a * 2, b)))]
         assert {group.evaluate(w) for w in words} == {group.identity()}
     # a fill that grows the ball starts a cache on the grown one; each
     # cache is checked against its own ball
@@ -204,23 +202,22 @@ def test_fill_cache_bound_keeps_results(monkeypatch, z2, z2ball):
 
 def test_single_leaf_product(z2, z2ball):
     w = z2.alphabet.parse_word("a,b,a^,b^")
-    prod = to_conjugate_product(z2ball, fill(z2ball, w, fixed(4)))
+    prod = to_conjugate_product(fill(z2ball, w, fixed(4)))
     assert prod.factors == [((), w)]
 
 
 def test_conjugate_product_commutators(z2, z2ball):
-    ab = z2.alphabet
     for k in (2, 4, 6):
         w = commutator(z2, k)
         tree = fill(z2ball, w, adaptive(4))
-        prod = to_conjugate_product(z2ball, tree)
+        prod = to_conjugate_product(tree)
         assert len(prod.factors) == tree.leaf_count
         flat = []
         for g, r in prod.factors:
             assert len(r) <= tree.threshold
             assert z2.evaluate(r) == z2.identity()
-            flat.extend(concat(g, r, invert(ab, g)))
-        assert free_reduce(ab, tuple(flat)) == free_reduce(ab, w)
+            flat.extend(concat(g, r, invert(g)))
+        assert free_reduce(tuple(flat)) == free_reduce(w)
 
 
 # -- random identity words --------------------------------------------------
@@ -299,7 +296,7 @@ def test_dehn_scan_rebuilds_at_needed_radius(monkeypatch, threads):
     assert scan.records == [(16, 5, 9, Fraction(5)),
                             (24, 5, 19, Fraction(31, 5))]
     heis = get_group("heisenberg")
-    tree = fill(build_ball(heis, 0), heisenberg_hard_word(heis, 2))
+    tree = fill(build_ball(heis, 0), heisenberg_hard_word(2))
     assert radii[1:] == [4, 8, 12] and tree.ball.radius == 12
 
 
@@ -404,13 +401,12 @@ def test_fill_grows_an_undersized_ball(z2, z2ball):
 
 # -- growth on demand -------------------------------------------------------
 
-def heisenberg_hard_word(group, j):
+def heisenberg_hard_word(j):
     """[[a^j, b^j], a^j], of length 10j; its area grows like j^3."""
     a, b = (0,) * j, (2,) * j
-    ab = group.alphabet
 
     def comm(u, v):
-        return concat(u, v, invert(ab, u), invert(ab, v))
+        return concat(u, v, invert(u), invert(v))
 
     return comm(comm(a, b), a)
 
@@ -521,7 +517,7 @@ def test_fill_does_not_depend_on_the_start_radius(tmp_path, name, big):
     words = [random_identity_word(group, 16, seed, ball=draw)
              for seed in range(4)]
     if name == "heisenberg":
-        words += [heisenberg_hard_word(group, 1), heisenberg_hard_word(group, 2)]
+        words += [heisenberg_hard_word(1), heisenberg_hard_word(2)]
     else:
         words.append(ab.parse_word("a,a,a,a,b,b,b,b,a^,a^,a^,a^,b^,b^,b^,b^"))
     starts = [build_ball(group, 0)]
@@ -539,11 +535,11 @@ def test_fill_heisenberg_hard_words_from_a_radius_0_ball():
     # a ball of the old up-front radius, max prefix norm + |w| + T, for
     # these words exceeds the 2,000,000-vertex cap
     group = get_group("heisenberg")
-    w3, w4 = (heisenberg_hard_word(group, j) for j in (3, 4))
+    w3, w4 = (heisenberg_hard_word(j) for j in (3, 4))
     tree = fill(build_ball(group, 0), w3)
     assert (len(w3), tree.threshold, tree.leaf_count) == (30, 16, 9)
     tree = fill(build_ball(group, 0), w4, adaptive(4))
-    assert (len(w4), tree.threshold, tree.leaf_count) == (40, 24, 9)
+    assert (len(w4), tree.threshold, tree.leaf_count) == (40, 32, 3)
     assert tree.ball.radius == 20
     # a fill on the grown ball equals the one from radius 0
     assert fill(tree.ball, w4, fixed(20)).leaf_count == 13

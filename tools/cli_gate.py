@@ -95,6 +95,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--y", "b,b,b", "--z", "a^,a^"],
         ["median", "--group", "heisenberg", "--radius", "3", "--x", "a,b",
          "--y", "b,a", "--z", "a^~b", "--json"],
+        # the median lies farther from x than the seed's best, t = x
+        ["median", "--group", "heisenberg", "--radius", "3", "--x", "b^,a^,b",
+         "--y", "a^,b^,a", "--z", "b,a,b"],
         ["median", "--group", "f2", "--radius", "3", "--x", "a,b",
          "--y", "b^", "--z", "a^,a^"],
         ["median", "--group", "z2-std", "--radius", "4", "--x", "a",
