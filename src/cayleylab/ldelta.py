@@ -11,68 +11,77 @@ over a triple domain.  All values are exact rationals with denominator
 dividing 2.
 
 The median search scans candidate points in shells of increasing distance
-m from x (from its first end when x is a midpoint).  Every t of slack s
-lies in the Gromov annulus
+m from one triple point a, its anchor (from a's first end when a is a
+midpoint); b and c are the other two.  Every t of slack s lies in the
+Gromov annulus
 
-    (y|z)_x - s/2 <= d(x, t) <= min(min(d(x, y), d(x, z)) + s/2, (y|z)_x + s)
+    (b|c)_a - s/2 <= d(a, t) <= min(min(d(a, b), d(a, c)) + s/2, (b|c)_a + s)
 
-because d(t, y) >= d(x, y) - d(x, t), likewise for z, and
-d(t, y) + d(t, z) >= d(y, z).  A point offered at shell m lies within
-1/2 of m for a midpoint x, and within another 1/2 for a midpoint t, so
+because d(t, b) >= d(a, b) - d(a, t), likewise for c, and
+d(t, b) + d(t, c) >= d(b, c).  A point offered at shell m lies within
+1/2 of m for a midpoint a, and within another 1/2 for a midpoint t, so
 the scan skips each shell wholly below the annulus at the best slack so
 far and stops at the first wholly above it: their points can neither
 win nor meet the cap.  The annulus is the scan's only pruning rule, so
-a pruned search returns the point of the unpruned one.  Ties are broken by
-smaller d(t, x), then smaller d(t, y), then vertices before midpoints,
-then smallest vertex id, which makes the result independent of scan
-order.
+a pruned search returns the point of the unpruned one.  The anchor is
+the point with the least 4 (b|c)_a, plus 2 for a midpoint, where the
+annulus closes soonest; ties go to x, then y, then z.  Ties between
+points are broken by smaller d(t, x), then smaller d(t, y), then
+vertices before midpoints, then smallest vertex id, so the result
+depends neither on the scan order nor on the anchor.
+
+The scan reads shells only up to the ball's radius R.  A scan that gets
+past shell R with the annulus at the best slack still open raises
+BallTooSmall, on rows of every kind, unless no edge leaves the ball (it
+is then the whole group, and no point lies farther from a).  The test
+is the annulus, not the prune flag, so an unpruned search raises exactly
+where the pruned one does.  Otherwise every point that could win lies
+in a scanned shell.
 
 A midpoint of an edge at a vertex u lies half a step from u, so each of
 its doubled distances to x, y, z is at least u's minus 1, and its doubled
-slack at least u's minus 2.  The scan and the seed walks skip the
-midpoints at u when that bound exceeds the best slack: such a midpoint
-can neither win nor trigger the cap.  The bound needs u's three distances
-exact, so the skip is off at a u with a FAR distance (ball.py): a
-midpoint there can read its other end's exact distance, far below u's.
+slack at least u's minus 2.  The scan skips the midpoints at u when that
+bound exceeds the best slack: such a midpoint can neither win nor
+trigger the cap.  The bound needs u's three distances exact, so the
+skip is off at a u with a FAR distance (ball.py): a midpoint there can
+read its other end's exact distance, far below u's.
 
-The seed step offers, before its three walks, each pair's Gromov point:
-the vertex of the walk from a to b at the Gromov product (b|c)_a from
-its start.  Internal points of geodesic triangles are near-medians where
-slack is small, so under a running cap one offer usually ends the
-search.  The order of offers changes no result.  An uncut search ends
-its seed at the least key over a fixed set: every walk vertex (the
-Gromov points are walk vertices too) and every midpoint not proved to
-lose, and a midpoint skipped because an earlier offer lowered the best
-slack can neither win nor meet the cap.  So the shell scan starts from
-the same key, with the same bound, and a capped search returns None
-exactly when that key's slack is within the cap.  One offer ends the
-seed early: a best slack of 0, after the cap tests, when the scan
-reaches every shell of the slack-0 annulus inside the ball.  Every
-slack-0 point lies at d(x, t) = (y|z)_x, so the scan offers them all and
-the least key among them wins either way.
+Before the scan, the seed step offers the triple's own midpoints and
+each pair's Gromov point: the vertex of the walk from a to b at the
+Gromov product (b|c)_a from its start.  Internal points of geodesic
+triangles are near-medians where slack is small, so under a running cap
+one offer usually ends the search, and otherwise a low best slack
+narrows the annulus.  A walk that leaves the ball offers nothing.  The
+seed stops at a best slack of 0, which no offer can lower; the scan
+still ranks every slack-0 point.  Whatever the seed offers, the scan
+offers every point that could win again, so the seed changes no result:
+a capped search returns None exactly when the least slack is within the
+cap.
 
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
-midpoint's row is read from its ends' rows, and one seed geodesic per
-point pair is kept as well.  The shell scan fills a vertex x's row as it
-goes: the candidate t = x s for s on shell m lies at distance m from x.
-median() makes a fresh cache per call; estimate_delta shares one across
-its triples and vankampen.fill a FillRows one across its splits, and
-bounded_rows starts both afresh past _CACHE_ENTRIES distances (about 45
-bytes each).  None computes a full row.
+midpoint's row is read from its ends' rows, and the walk of one seed
+geodesic per point pair is kept as well.  The shell scan fills a vertex
+anchor's row as it goes: the candidate t = a s for s on shell m lies at
+distance m from a.  median() makes a fresh cache per call;
+estimate_delta shares one across its triples and vankampen.fill a
+FillRows one across its splits, and bounded_rows starts both afresh past
+_CACHE_ENTRIES distances (about 45 bytes each).  None computes a full
+row.
 
 On FillRows (vankampen.fill) a scanned vertex t outside the ball signals
 BallTooSmall only where it could still win.  Its norm is at least R + 1,
-so d(p, t) >= R + 1 - |p| for p = y, z, and with d(x, t) from its shell
-that bounds its slack from below (outside_loses).
+so d(p, t) >= R + 1 - |p| for the two points p other than the anchor,
+and with d(a, t) from its shell that bounds its slack from below
+(outside_loses).
 
 estimate_delta is one serial loop with a running cap, the largest slack
 so far.  Two skips leave its output that of one search per triple:
-- a triple's own points are offered in the search's seed step; t = x has
-  slack d(x, y) + d(x, z) - d(y, z), twice the Gromov product (y|z)_x;
-  when the least of the three is at most the cap the search would abort
-  there, so the triple is skipped before it starts;
+- a triple's own points are candidates of its search; t = x has slack
+  d(x, y) + d(x, z) - d(y, z), twice the Gromov product (y|z)_x; when
+  the least of the three is at most the cap the search would return
+  None, so the triple is skipped before it starts;
 - left translates of a triple have equal slack, and exhaustive mode on
   the vertex domain searches only the first triple of each class in
   iteration order.  It meets the cap the plain loop would; later members
@@ -159,7 +168,9 @@ class DistanceRows(dict):
     """rows[u][v] == 2 * ball.vertex_distance(u, v), computed on first use.
 
     Midpoints get rows of the same kind, read from their ends' rows, and
-    the vertex walk of one seed geodesic per point pair is kept too.
+    the vertex walk of one seed geodesic per point pair is kept too.  A
+    search on these rows raises BallTooSmall when its shell scan runs out
+    at the radius (module docstring).
     `held[0]` counts the distances and walks held; the rows share that
     cell rather than point back here, so a dropped cache is freed at once.
     Its rows are not `strict`: they hold FAR beyond the ball.
@@ -209,12 +220,12 @@ class FillRows(DistanceRows):
 
     Its rows are `strict`.  A search with t_halves=False on these rows
     raises BallTooSmall where a larger ball could change its result: at
-    a FAR read, an index miss in a scanned shell at a point that could
-    still win (module docstring), or a shell scan that runs out at the
-    radius (unless no edge leaves the ball).  Otherwise
-    it reads the same shells, ids and exact distances on every larger
-    ball, as vertex ids are a BFS prefix, and returns the same point.
-    vankampen.fill grows its ball on the signal.
+    a FAR read, at an index miss in a scanned shell at a point that could
+    still win, or, as on any rows, when the shell scan runs out at the
+    radius (module docstring).  Otherwise it reads the same shells, ids
+    and exact distances on every larger ball, as vertex ids are a BFS
+    prefix, and returns the same point.  vankampen.fill grows its ball
+    on the signal.
     """
 
     strict = True
@@ -253,7 +264,7 @@ def pair_slacks(ball: BallIndex, t: Point, x: Point, y: Point,
 class _MedianSearch:
     """Shell scan state; all distances are doubled integers internally.
 
-    seed and run offer each vertex inline, on local rows; midpoints go
+    run offers each shell vertex inline, on local rows; midpoints go
     through consider_mid, at the vertices where mids_lose does not rule
     them out."""
 
@@ -268,10 +279,6 @@ class _MedianSearch:
         self.dxy2 = _d2(x, xr, y, yr)
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
-        # 4 (y|z)_x; the candidates offered at shell m have 2 d(x, t)
-        # within pad of 4m (module docstring)
-        self.g4 = self.dxy2 + self.dzx2 - self.dyz2
-        self.pad = 2 * (x.kind == HALF) + 2 * t_halves
         self.best_key: tuple = (math.inf,)  # above every key
         self.seen_mids: set[tuple[int, int]] = set()
 
@@ -281,16 +288,16 @@ class _MedianSearch:
         return s - 2 > self.best_key[0] and self.xr[u] < FAR \
             and self.yr[u] < FAR and self.zr[u] < FAR
 
-    def outside_loses(self, m: int) -> bool:
-        """True when no vertex t on shell m outside the ball of radius R
-        can take the best key.  Its norm is at least R + 1, so
-        d(p, t) >= R + 1 - |p| for p = y, z, and d(x, t) >= m - 1/2 (m for
-        a vertex x)."""
+    def outside_loses(self, m: int, a: Point) -> bool:
+        """True when no vertex t on shell m around triple point a outside
+        the ball of radius R can take the best key.  Its norm is at least
+        R + 1, so d(p, t) >= R + 1 - |p| for the other two points p, and
+        d(a, t) >= m - 1/2 (m for a vertex a)."""
         ball = self.ball
         out2 = 2 * ball.radius + 2
-        dx = 2 * m - (self.x.kind == HALF)
-        dy = out2 - int(2 * ball.point_norm(self.y))
-        dz = out2 - int(2 * ball.point_norm(self.z))
+        dx, dy, dz = (2 * m - (p.kind == HALF) if p == a
+                      else out2 - int(2 * ball.point_norm(p))
+                      for p in (self.x, self.y, self.z))
         return max(dx + dy - self.dxy2, dy + dz - self.dyz2,
                    dz + dx - self.dzx2) > self.best_key[0]
 
@@ -314,8 +321,8 @@ class _MedianSearch:
 
     def _offer(self, kind: int, a: int, b: int,
                dx: int, dy: int, dz: int) -> int:
-        """Offer a point and return its doubled slack; seed and run offer
-        walk and shell vertices inline, with the same steps."""
+        """Offer a point and return its doubled slack; run offers shell
+        vertices inline, with the same steps."""
         s = dx + dy - self.dxy2
         s2 = dy + dz - self.dyz2
         if s2 > s:
@@ -332,26 +339,18 @@ class _MedianSearch:
         return s
 
     def seed(self, cap2: int) -> bool:
-        """Evaluate the triple's own midpoints, then each pair's Gromov
-        point, then the points along one geodesic per pair, which start
-        and end at its vertices; in well-behaved groups this already
-        contains a minimum-slack t.  Returns True when the cap aborts the
-        triple.
+        """Offer the triple's own midpoints, then each pair's Gromov
+        point, until the best slack is 0.  Returns True when the cap
+        aborts the triple.
 
         The Gromov point of a pair (a, b) with third point c is the inner
         vertex of walk(a, b) at the Gromov product (b|c)_a from its start,
-        rounded down, a near-median where slack is small.  The walks offer
-        it again, so it only makes the cap and the midpoint skip act
-        sooner (module docstring).
-
-        A best slack of 0 ends the step (returns False) once the cap tests
-        are done, when the shell scan reaches the annulus of slack 0."""
+        rounded down, a near-median where slack is small.  A walk that
+        leaves the ball offers nothing (module docstring)."""
         x, y, z = self.x, self.y, self.z
         xr, yr, zr = self.xr, self.yr, self.zr
         dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
-        t_halves = self.t_halves
-        zero2 = 0 if (self.g4 + self.pad) // 4 <= self.ball.radius else -1
-        if t_halves:
+        if self.t_halves:
             # a midpoint of the triple lies 0 from itself and the pair
             # distances from the other two points
             for p, dx, dy, dz in ((x, 0, dxy2, dzx2), (y, dxy2, 0, dyz2),
@@ -364,51 +363,20 @@ class _MedianSearch:
         for a, b, g4 in ((x, y, dxy2 + dzx2 - dyz2),
                          (y, z, dyz2 + dxy2 - dzx2),
                          (z, x, dzx2 + dyz2 - dxy2)):
+            s = self.best_key[0]
+            if s <= cap2:
+                return True
+            if s == 0:
+                return False
             try:
                 walk = walk_of(a, b)
             except BallTooSmall:
-                # the walks below raise it again, unless the cap stops
-                # them first, as it would without this step
-                break
+                continue
             i = g4 // 4
             if 0 < i < len(walk) - 1:
                 tid = walk[i]
                 self._offer(VERTEX, tid, -1, xr[tid], yr[tid], zr[tid])
-                s = self.best_key[0]
-                if s <= cap2:
-                    return True
-                if s <= zero2:
-                    return False
-        best = self.best_key
-        for a, b in ((x, y), (y, z), (z, x)):
-            walk = walk_of(a, b)
-            end = len(walk) - 1
-            for i, tid in enumerate(walk):
-                dx, dy, dz = xr[tid], yr[tid], zr[tid]
-                s = dx + dy - dxy2
-                s2 = dy + dz - dyz2
-                if s2 > s:
-                    s = s2
-                s2 = dz + dx - dzx2
-                if s2 > s:
-                    s = s2
-                if s <= best[0]:
-                    if s <= cap2:
-                        return True
-                    key = (s, dx, dy, VERTEX, tid, -1, dz)
-                    if key < best:
-                        self.best_key = best = key
-                    if s <= zero2:
-                        return False
-                if t_halves and i < end and (
-                        s - 2 <= best[0] or not self.mids_lose(tid, s)):
-                    self.consider_mid(tid, walk[i + 1])
-                    best = self.best_key
-                    if best[0] <= cap2:
-                        return True
-                    if best[0] <= zero2:
-                        return False
-        return best[0] <= cap2
+        return self.best_key[0] <= cap2
 
     def _result(self) -> MedianResult:
         s, dx, dy, kind, a, b, dz = self.best_key
@@ -424,51 +392,54 @@ class _MedianSearch:
         ball = self.ball
         if self.seed(cap2):
             return None
-        anchor = self.x.a
-        anchor_elem = ball.elements[anchor]
+        xr, yr, zr = self.xr, self.yr, self.zr
+        dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
+        # scan around the triple point a with the least 4 (b|c)_a, plus 2
+        # for a midpoint; min keeps the first of equal points
+        a, ar, ab2, ac2, bc2 = min(
+            ((self.x, xr, dxy2, dzx2, dyz2), (self.y, yr, dxy2, dyz2, dzx2),
+             (self.z, zr, dzx2, dyz2, dxy2)),
+            key=lambda e: e[2] + e[3] - e[4] + 2 * (e[0].kind == HALF))
+        # the candidates offered at shell m have 2 d(a, t) within pad of 4m
+        g4, near2 = ab2 + ac2 - bc2, 2 * min(ab2, ac2)
+        pad = 2 * (a.kind == HALF) + 2 * self.t_halves
+        anchor_elem = ball.elements[a.a]
+        a_vertex = a.kind == VERTEX
         mult = ball.group.multiply
         elements = ball.elements
         index_get = ball.index.get
         adj = ball.adj
-        xr, yr, zr = self.xr, self.yr, self.zr
-        dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
         t_halves = self.t_halves
-        # for a vertex x, t = x s gives d(x, t) = |s| = m on shell m
-        x_vertex = self.x.kind == VERTEX
         strict = self.rows.strict
-        g4, pad, near2 = self.g4, self.pad, 2 * min(dxy2, dzx2)
         # seed returned False, so the best slack is above the cap
         best = self.best_key
         m = 0
         while True:
-            if prune:
-                # every later shell lies above the annulus
-                b = best[0]
-                if 4 * m - pad > min(near2 + b, g4 + 2 * b):
-                    break
+            b = best[0]
+            # every later shell lies above the annulus
+            closed = 4 * m - pad > min(near2 + b, g4 + 2 * b)
+            if prune and closed:
+                break
             if m > ball.radius:
                 # a larger ball would scan on, unless no edge leaves this one
-                if strict and any(-1 in adj[u]
-                                  for u in ball.shell(ball.radius)):
+                if not closed and any(-1 in adj[u]
+                                      for u in ball.shell(ball.radius)):
                     raise BallTooSmall("the shell scan ran out at the radius")
                 break
-            if prune and 4 * m + pad < g4 - best[0]:
+            if prune and 4 * m + pad < g4 - b:
                 m += 1  # the shell lies below the annulus
                 continue
             for sid in ball.shell(m):
                 tid = index_get(mult(anchor_elem, elements[sid]))
                 if tid is None:
-                    if strict and not self.outside_loses(m):
+                    if strict and not self.outside_loses(m, a):
                         raise BallTooSmall("a scanned shell leaves the ball")
                     continue
-                if x_vertex:
-                    dx = 2 * m
-                    if tid not in xr:
-                        xr[tid] = dx
-                        xr.held[0] += 1
-                else:
-                    dx = xr[tid]
-                dy, dz = yr[tid], zr[tid]
+                # for a vertex a, t = a s gives d(a, t) = |s| = m
+                if a_vertex and tid not in ar:
+                    ar[tid] = 2 * m
+                    ar.held[0] += 1
+                dx, dy, dz = xr[tid], yr[tid], zr[tid]
                 s = dx + dy - dxy2
                 s2 = dy + dz - dyz2
                 if s2 > s:
@@ -505,7 +476,8 @@ def median(ball: BallIndex, x: Point, y: Point, z: Point,
     `_rows` is the path of estimate_delta and vankampen.split_loop: they
     share one cache over many searches and skip the checks, because their
     points are distinct and in the ball.  A pair of the triple FAR apart
-    is an input error.
+    is an input error, and so is a ball too small for the shell scan
+    (BallTooSmall, module docstring).
     """
     if _rows is None:
         for p in (x, y, z):

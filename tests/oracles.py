@@ -9,6 +9,7 @@ pruning must reproduce.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -228,3 +229,147 @@ def plain_exhaustive_delta(ball, radius: int, domain: str, triples=None):
         if med is not None and med.slack > cap:
             cap, best = med.slack, ((points[i], points[j], points[k]), med)
     return (max(cap, Fraction(0)),) + best + (count,)
+
+
+# -- median and delta by brute force ----------------------------------------
+#
+# A point is a tuple of group elements: (e,) for a vertex, and the two ends
+# of an edge, sorted, for its midpoint.  Distances are doubled integers, so
+# that midpoints stay exact: the distance of two distinct points is that of
+# their nearest ends plus 1/2 for each midpoint among them.
+
+
+class BruteMetric:
+    """Doubled distances of a Cayley graph from a table of word norms.
+
+    `table` is a plain dict BFS (group_ball) of the given radius, and the
+    distance of vertices u, v is table[u^-1 v]; a lookup past the table
+    raises KeyError rather than guess.  `distance`, when given, replaces
+    that lookup (free_distance on F2), and the table serves only to list
+    elements by norm."""
+
+    def __init__(self, group, radius: int, distance=None):
+        self.group = group
+        self.table = group_ball(group, radius)
+        self.by_norm = sorted(self.table, key=self.table.__getitem__)
+        # by_norm[:upto[k]] are the elements of norm <= k
+        norms = [self.table[e] for e in self.by_norm]
+        self.upto = [bisect_right(norms, k) for k in range(radius + 1)]
+        if distance is None:
+            mul, inv, table = group.multiply, group.inverse, self.table
+
+            def distance(u, v):
+                return table[mul(inv(u), v)]
+        self.distance = distance
+
+    def within(self, k: int) -> list:
+        if k > len(self.upto) - 1:
+            raise KeyError(f"no table of norms up to {k}")
+        return self.by_norm[:self.upto[k]]
+
+    def d2(self, p, q) -> int:
+        if p == q:
+            return 0
+        distance = self.distance
+        return 2 * min(distance(e, f) for e in p for f in q) \
+            + len(p) + len(q) - 2
+
+    def edges(self, v):
+        """The midpoints of the edges at vertex v."""
+        apply = self.group.apply
+        ends = {apply(v, g) for g in range(len(self.group.alphabet))}
+        return [tuple(sorted((v, w))) for w in ends if w != v]
+
+    def points(self, radius: int, domain: str) -> list:
+        """The vertices of norm <= radius, and with domain == "half" the
+        midpoints of norm <= radius as well."""
+        verts = self.within(radius)
+        pts = [(v,) for v in verts]
+        if domain == "half":
+            mids = {m for v in verts if self.table[v] < radius
+                    for m in self.edges(v)}
+            pts += sorted(mids)
+        return pts
+
+
+def brute_median(metric: BruteMetric, x, y, z, t_halves: bool = True,
+                 cap2: int = -1) -> int:
+    """The least doubled slack over all vertices t, and all midpoints t
+    with t_halves, or the first doubled slack found at most cap2.
+
+    Let s be the least slack found so far, first over the ends of x, y, z,
+    and over x, y, z themselves with t_halves.  A t of slack at most s has
+    d(x, t) + d(t, y) - d(x, y) <= s, likewise for z, and
+    d(t, y) + d(t, z) >= d(y, z), so d(x, t) <= (y|z)_x + s; and as
+    d(t, y) >= d(x, t) - d(x, y), also d(x, t) <= d(x, y) + s/2.  Every
+    vertex that near x's first end, plus 1 for a midpoint x, is tried in
+    order of distance, with every midpoint at it."""
+    triple = (x, y, z)
+    d2 = metric.d2
+    pair = (d2(x, y), d2(y, z), d2(z, x))
+
+    def slack2(dx, dy, dz):
+        return max(dx + dy - pair[0], dy + dz - pair[1], dz + dx - pair[2])
+
+    seeds = [(e,) for p in triple for e in p] + list(triple) * t_halves
+    best = min(slack2(*(d2(p, t) for p in triple)) for t in seeds)
+    if best <= cap2:
+        return best
+
+    def reach(best):  # the largest norm from x[0] left to try
+        g2 = (pair[0] + pair[2] - pair[1]) // 2
+        return min(min(pair[0], pair[2]) + best // 2, g2 + best) // 2 + 1
+
+    mul, table, e0 = metric.group.multiply, metric.table, x[0]
+    to_vertex = {}  # vertex -> doubled distances to x, y, z
+
+    def dist(v):
+        d = to_vertex.get(v)
+        if d is None:
+            d = to_vertex[v] = tuple(d2(p, (v,)) for p in triple)
+        return d
+
+    for step in metric.within(reach(best)):
+        if table[step] > reach(best):
+            break
+        v = mul(e0, step)
+        s = slack2(*dist(v))
+        if s < best:
+            best = s
+            if best <= cap2:
+                return best
+        if not t_halves:
+            continue
+        for t in metric.edges(v):
+            du, dw = dist(t[0]), dist(t[1])
+            s = slack2(*(0 if p == t else min(a, b) + 1
+                         for p, a, b in zip(triple, du, dw)))
+            if s < best:
+                best = s
+                if best <= cap2:
+                    return best
+    return best
+
+
+def brute_delta(metric: BruteMetric, radius: int, domain: str) -> Fraction:
+    """The largest least slack over the triples of domain points, with t
+    over vertices and midpoints.  A triple whose own point has slack at
+    most the largest so far cannot raise it and is skipped."""
+    pts = metric.points(radius, domain)
+    d2 = metric.d2
+    value = -1
+    for x, y, z in itertools.combinations(pts, 3):
+        dxy, dyz, dzx = d2(x, y), d2(y, z), d2(z, x)
+        if min(dxy + dzx - dyz, dxy + dyz - dzx, dyz + dzx - dxy) <= value:
+            continue
+        s = brute_median(metric, x, y, z, cap2=value)
+        if s > value:
+            value = s
+    return Fraction(max(value, 0), 2)
+
+
+def brute_slack2(metric: BruteMetric, t, x, y, z) -> int:
+    """The doubled slack of point t for the triple."""
+    dx, dy, dz = (metric.d2(p, t) for p in (x, y, z))
+    return max(dx + dy - metric.d2(x, y), dy + dz - metric.d2(y, z),
+               dz + dx - metric.d2(z, x))

@@ -384,17 +384,23 @@ FROZEN_PAYLOADS = [
         "        leaf n=0 base=(1,0,1)\n"
         "    leaf n=0 base=(2,0,2)\n",
         id="heisenberg-w2-tree"),
-    (["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16"],
-     "n,samples,max_cells,mean_cells\n8,10,1,1/1\n12,10,3,6/5\n"
-     "16,10,3,7/5\nslope,1.6588\nreference,2.7095\nthreshold,16\n"),
-    (["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16",
-      "--samples", "5"],
-     "n,samples,max_cells,mean_cells\n8,5,1,1/1\n12,5,1,1/1\n16,5,3,7/5\n"
-     "slope,1.4809\nreference,2.7095\nthreshold,8\n"),
-    (["dehn-scan", "--group", "z2-abc", "--lengths", "8,12", "--samples",
-      "5"],
-     "n,samples,max_cells,mean_cells\n8,6,3,5/3\n12,6,7,8/3\n"
-     "slope,2.0897\nreference,2.7095\nthreshold,8\n"),
+    pytest.param(
+        ["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16"],
+        "n,samples,max_cells,mean_cells\n8,10,1,1/1\n12,10,3,6/5\n"
+        "16,10,3,7/5\nslope,1.6588\nreference,2.7095\nthreshold,16\n",
+        id="heisenberg-dehn-scan"),
+    pytest.param(
+        ["dehn-scan", "--group", "heisenberg", "--lengths", "8,12,16",
+         "--samples", "5"],
+        "n,samples,max_cells,mean_cells\n8,5,1,1/1\n12,5,1,1/1\n"
+        "16,5,3,7/5\nslope,1.4809\nreference,2.7095\nthreshold,8\n",
+        id="heisenberg-dehn-scan-5-samples"),
+    pytest.param(
+        ["dehn-scan", "--group", "z2-abc", "--lengths", "8,12", "--samples",
+         "5"],
+        "n,samples,max_cells,mean_cells\n8,6,3,5/3\n12,6,7,8/3\n"
+        "slope,2.0897\nreference,2.7095\nthreshold,8\n",
+        id="z2-abc-dehn-scan-5-samples"),
 ]
 
 

@@ -15,7 +15,8 @@ from cayleylab.ldelta import (DistanceRows, FillRows, domain_points,
                               estimate_delta, median, pair_slacks,
                               recommended_ball_radius, slack)
 from cayleylab.rewriting import parse_group_file
-from oracles import grid_min_slack, plain_exhaustive_delta
+from oracles import (BruteMetric, brute_delta, brute_median, brute_slack2,
+                     free_distance, grid_min_slack, plain_exhaustive_delta)
 from test_rewriting import Z2_RULES_TEXT
 
 F = Fraction
@@ -191,6 +192,79 @@ def test_median_repro_triples(name, x, y, z, value):
     assert fast == median(ball, *triple, prune=False)
 
 
+# -- the brute-force oracle -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def brute():
+    """name -> (group, BruteMetric): a plain BFS table of norms, up to 18
+    (F2: free_distance of reduced words, with a table up to 10 to list
+    elements by norm)."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            group = group_of(name)
+            made[name] = (group, BruteMetric(group, 10, free_distance)
+                          if name == "f2"
+                          else BruteMetric(group, 18))
+        return made[name]
+    return get
+
+
+def brute_point(ball, p):
+    """The oracle's form of a point: its ends as group elements."""
+    ends = (p.a,) if p.kind == VERTEX else (p.a, p.b)
+    return tuple(sorted(ball.elements[e] for e in ends))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+@pytest.mark.parametrize("domain", ["vertices", "half"])
+def test_median_slack_equals_the_brute_force_oracle(name, domain, brute):
+    # the oracle prices every vertex, and midpoint with t_halves, near x by
+    # a table of norms, with no ball, cache, seed, anchor or pruning; the
+    # median must reach its slack with a t that attains it
+    group, metric = brute(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, domain)
+    rng = random.Random(53)
+    for _ in range(60):
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        brute_triple = [brute_point(ball, p) for p in triple]
+        for t_halves in (True, False):
+            med = median(ball, *triple, t_halves=t_halves)
+            assert 2 * med.slack == \
+                brute_median(metric, *brute_triple, t_halves=t_halves) == \
+                brute_slack2(metric, brute_point(ball, med.t),
+                             *brute_triple), (triple, t_halves)
+
+
+@pytest.mark.parametrize("name,radius", [("heisenberg", 2), ("z2-abc", 3),
+                                         ("f2", 2)])
+def test_brute_delta_equals_estimate_delta(name, radius, brute):
+    group, metric = brute(name)
+    ball = build_ball(group, recommended_ball_radius(group, radius))
+    est = estimate_delta(ball, radius, domain="vertices")
+    assert est.sampling == "exhaustive"
+    assert brute_delta(metric, radius, "vertices") == est.value
+
+
+def test_slack_0_point_beyond_the_ball_radius(brute):
+    # a triple of F2's half domain at R = 4: its slack-0 point a a a lies
+    # 1/2 from y and z but 7 from x, beyond the radius-6 ball; the scan
+    # around y finds it
+    group, metric = brute("f2")
+    ab = group.alphabet.parse_word
+    aaa = ab("a,a,a")
+    x, y, z = (ab("b,b,b,a^"),), (aaa, aaa + ab("b")), (aaa, aaa + ab("b^"))
+    assert brute_median(metric, x, y, z) == 0
+    ball = build_ball(group, recommended_ball_radius(group, 4))
+    triple = [vp(ball, x[0]), mid(ball, *y), mid(ball, *z)]
+    assert ball.radius == 6 and ball.try_distance(triple[0], vp(ball, aaa)) == 7
+    for prune in (True, False):
+        med = median(ball, *triple, prune=prune)
+        assert (med.t, med.slack) == (vp(ball, aaa), 0)
+
+
 @pytest.mark.parametrize("name,x,y,z", [
     # the least slack-0 vertex lies at shell 3 from x's end (-2,-1),
     # with 2 d(x, t) = 4m + 2
@@ -281,10 +355,11 @@ def test_midpoint_skip_keeps_midpoints_at_a_far_vertex():
 @pytest.mark.parametrize("name", GROUP_NAMES)
 @pytest.mark.parametrize("domain", ["vertices", "half"])
 def test_candidates_lie_in_the_gromov_annulus(name, domain):
-    # every point t of doubled slack s2 has g4 - s2 <= 2 dx2 <= min(near2 +
-    # s2, g4 + 2 s2), and 2 dx2 within pad of 4m at each shell m it is
-    # offered on; a vertex outside the radius-4 ball keeps the lower bound
-    # of outside_loses
+    # around each triple point a, every point t of doubled slack s2 has
+    # g4 - s2 <= 2 da2 <= min(near2 + s2, g4 + 2 s2), with g4 = 4 (b|c)_a
+    # and near2 = 4 min(d(a, b), d(a, c)), and 2 da2 within pad of 4m at
+    # each shell m around a's first end that it is offered on; a vertex
+    # outside the radius-4 ball keeps the lower bound of outside_loses
     group = group_of(name)
     small = build_ball(group, 4)
     big = build_ball(group, 8, source=small)
@@ -294,22 +369,21 @@ def test_candidates_lie_in_the_gromov_annulus(name, domain):
     rng = random.Random(43)
     checked = outside = 0
     for _ in range(6):
-        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
-        search = ldelta._MedianSearch(small, DistanceRows(small), x, y, z,
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        search = ldelta._MedianSearch(small, DistanceRows(small), *triple,
                                       t_halves)
-        g4, pad = search.g4, search.pad
-        near2 = 2 * min(search.dxy2, search.dzx2)
-        triple = [(p, rows.point_row(p)) for p in (x, y, z)]
+        triple_rows = [(p, rows.point_row(p)) for p in triple]
 
-        def d2(t):  # doubled distances to x, y, z and doubled slack
+        def d2(t):  # doubled distances to x, y, z
             t_row = rows.point_row(t)
-            dx, dy, dz = (0 if p == t else ldelta._d2(p, p_row, t, t_row)
-                          for p, p_row in triple)
-            return dx, max(dx + dy - search.dxy2, dy + dz - search.dyz2,
-                           dz + dx - search.dzx2)
+            return [0 if p == t else ldelta._d2(p, p_row, t, t_row)
+                    for p, p_row in triple_rows]
 
-        def shell(u):
-            return rows[x.a][u] // 2
+        pair2 = [d2(p) for p in triple]
+        rotations = [(i, (i + 1) % 3, (i + 2) % 3) for i in range(3)]
+
+        def slack2(d):
+            return max(d[i] + d[j] - pair2[i][j] for i, j, _ in rotations)
 
         for u in range(len(big)):
             if big.dist[u] > 5:
@@ -319,17 +393,26 @@ def test_candidates_lie_in_the_gromov_annulus(name, domain):
                 cands += [(Point.half(u, w), (u, w)) for w in big.adj[u]
                           if u < w]
             for t, ends in cands:
-                dx, s2 = d2(t)
-                assert g4 - s2 <= 2 * dx <= min(near2 + s2, g4 + 2 * s2)
-                for e in ends:
-                    assert abs(2 * dx - 4 * shell(e)) <= pad
-                checked += 1
-            m = shell(u)
-            if big.dist[u] > small.radius and m <= small.radius:
-                search.best_key = (d2(Point.vertex(u))[1],)
-                assert not search.outside_loses(m)
-                outside += 1
-    assert checked > 300 and outside > 15
+                d = d2(t)
+                s2 = slack2(d)
+                for i, j, k in rotations:
+                    a = triple[i]
+                    g4 = pair2[i][j] + pair2[i][k] - pair2[j][k]
+                    near2 = 2 * min(pair2[i][j], pair2[i][k])
+                    pad = 2 * (a.kind == HALF) + 2 * t_halves
+                    assert g4 - s2 <= 2 * d[i] <= min(near2 + s2, g4 + 2 * s2)
+                    for e in ends:
+                        assert abs(2 * d[i] - 4 * (rows[a.a][e] // 2)) <= pad
+                    checked += 1
+            if big.dist[u] <= small.radius:
+                continue
+            search.best_key = (slack2(d2(Point.vertex(u))),)
+            for a in triple:
+                m = rows[a.a][u] // 2
+                if m <= small.radius:
+                    assert not search.outside_loses(m, a)
+                    outside += 1
+    assert checked > 900 and outside > 45
 
 
 @pytest.mark.parametrize("name,radius", [
@@ -359,11 +442,16 @@ def test_median_of_a_far_pair_is_an_input_error():
 
 def test_median_whose_geodesic_leaves_the_ball_is_an_input_error():
     # every pair distance is exact, but the geodesic a a b^ of
-    # (1,1)^-1 (3,0) runs from (1,1) through (3,1), of norm 4
+    # (1,1)^-1 (3,0) runs from (1,1) through (3,1), of norm 4; the median
+    # needs no walk along it and finds the point of a larger ball
     ball = build_ball(get_group("z2-std"), 3)
     x, y, z = (ball.point_of_element(e) for e in ((1, 1), (3, 0), (0, 0)))
     with pytest.raises(InputError, match="geodesic leaves the ball"):
-        median(ball, x, y, z)
+        ball.vertex_geodesic_word(x.a, y.a)
+    big = build_ball(ball.group, 12, source=ball)
+    med = median(ball, x, y, z)
+    assert (ball.elements[med.t.a], med.slack) == ((1, 0), 0)
+    assert med == median(big, x, y, z)
 
 
 # caps in the search's doubled units are floor(2 * cap): -1/4 is no cap
@@ -689,8 +777,8 @@ def test_exhaustive_delta_skips_midpoints_that_cannot_win(monkeypatch):
 
 def test_exhaustive_delta_offers_gromov_points_first(monkeypatch):
     # the delta-z2abc configuration: the seed's Gromov points meet the
-    # running cap or lower the best slack before the walks, so the walks
-    # skip more midpoints
+    # running cap or lower the best slack before the shell scan, so the
+    # scan skips more midpoints
     calls = [0]
     consider_mid = ldelta._MedianSearch.consider_mid
 
@@ -702,7 +790,8 @@ def test_exhaustive_delta_offers_gromov_points_first(monkeypatch):
     ball = build_ball(get_group("z2-abc"), 12)
     est = estimate_delta(ball, 5, domain="vertices", sampling="exhaustive")
     assert est.value == 3
-    # walks before any Gromov point made 37,599 calls
+    # a seed that walked three full geodesics before any Gromov point
+    # made 37,599 calls
     assert calls[0] <= 30_000
 
 

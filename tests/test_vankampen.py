@@ -192,7 +192,7 @@ def test_fill_cache_bound_keeps_results(monkeypatch, z2, z2ball):
     gc.disable()
     try:
         assert fill(z2ball, w) == unbounded
-        assert len(made) == 5
+        assert len(made) == 4
         assert all(ref() is None for ref in made)
     finally:
         gc.enable()
@@ -421,10 +421,12 @@ def search_on_fill_rows(ball, x, y, z):
     # 3; by norms alone it lies at least 1 from y = a^ a^ and z = a^ b, so
     # it could still be a slack-0 point
     ("f2", 2, ((0,), (1, 1), (1, 2)), "a scanned shell leaves the ball"),
-    ("z2-std", 2, ((0, 0), (1, 0), (2, 0)),
+    # the slack-0 annulus around x is shell 1, where (-1, 0) lies 3 from y
+    ("z2-std", 2, ((0, 0), (2, 0), (1, 1)),
      "a distance read lies beyond the ball"),
-    # the seed's first walk, a b^ from (1, 1), runs through (2, 1)
-    ("z2-std", 2, ((1, 1), (2, 0), (0, 0)), "geodesic leaves the ball"),
+    # the same shell around x = (2, 0) holds (3, 0), at norm 3; by norms
+    # alone it lies at least 1 from y and z, so it could have slack 0
+    ("z2-std", 2, ((2, 0), (1, 1), (1, -1)), "shell leaves the ball"),
 ])
 def test_fill_search_signals_a_small_ball(name, radius, triple, cause):
     group = get_group(name)
@@ -437,18 +439,18 @@ def test_fill_search_signals_a_small_ball(name, radius, triple, cause):
 
 
 def test_fill_search_skips_an_outside_point_that_loses(monkeypatch):
-    # from x = a the slack-0 annulus is shell 2, where a a a, a a b and
-    # a a b^ lie outside the ball; at norm 3 they lie at least 2 from
-    # y = a^ and 1 from z = a^ a^, so their slack is at least 2 and they
-    # cannot win
+    # the scan runs around y = a a a, whose Gromov product (x|z)_y = 1 is
+    # the least; its slack-0 annulus is shell 1, where a a a a, a a a b and
+    # a a a b^ lie outside the ball; at norm 4 they lie at least 4 from
+    # x = 1 and 1 from y, so their slack is at least 2 and they cannot win
     f2 = get_group("f2")
-    triple = ((0,), (1,), (1, 1))
-    ball = build_ball(f2, 2)
+    triple = ((), (0, 0, 0), (0, 0, 2))
+    ball = build_ball(f2, 3)
     big = build_ball(f2, 6)
     assert search_on_fill_rows(ball, *triple) == \
         search_on_fill_rows(big, *triple)
     monkeypatch.setattr(ldelta._MedianSearch, "outside_loses",
-                        lambda self, m: False)
+                        lambda self, m, a: False)
     with pytest.raises(BallTooSmall, match="a scanned shell leaves the ball"):
         search_on_fill_rows(ball, *triple)
 
@@ -476,15 +478,15 @@ def test_dehn_scan_reads_only_the_annulus(monkeypatch):
 
 
 def test_fill_search_signals_a_scan_that_runs_out(tmp_path):
-    # from x = 1 no shell leaves the ball and f2 norms are exact, so an
-    # unpruned scan runs out at the radius; with the prune bound it stops
-    # first
-    f2 = get_group("f2")
-    ball = build_ball(f2, 2)
-    pts = [ball.point_of_element(e) for e in ((), (0,), (2,))]
-    with pytest.raises(BallTooSmall, match="ran out at the radius"):
-        median(ball, *pts, t_halves=False, prune=False, _rows=FillRows(ball))
-    assert search_on_fill_rows(ball, (), (0,), (2,)).t == pts[0]
+    # the triangle (0,0), (1,0), (0,-1) of z2-abc has slack 1; around x
+    # the annulus of slack 1 with midpoints reaches shell 2, past the
+    # radius-1 ball, so the scan cannot rule out a better point there; it
+    # signals pruned or not, and on the plain rows of median as well
+    ball = build_ball(get_group("z2-abc"), 1)
+    pts = [ball.point_of_element(e) for e in ((0, 0), (1, 0), (0, -1))]
+    for prune in (True, False):
+        with pytest.raises(BallTooSmall, match="ran out at the radius"):
+            median(ball, *pts, prune=prune)
     # no edge leaves a ball that is the whole group: Z/5 within radius 2
     path = tmp_path / "c5.grp"
     path.write_text("generators: a\norder: a a^\n"
@@ -496,6 +498,17 @@ def test_fill_search_signals_a_scan_that_runs_out(tmp_path):
     assert median(ball, *pts, t_halves=False, prune=False,
                   _rows=FillRows(ball)) == \
         median(ball, *pts, t_halves=False, prune=False)
+    # in Z/9 the triple 1, a^3, a^-3 has slack 3, and with midpoints its
+    # annulus around x is still open at shell 5, past the whole group
+    path = tmp_path / "c9.grp"
+    path.write_text("generators: a\norder: a a^\n"
+                    "a a a a a -> a^ a^ a^ a^\na^ a^ a^ a^ a^ -> a a a a\n")
+    ball = build_ball(get_group(str(path)), 4)
+    assert len(ball) == 9
+    pts = [ball.point_of_element(e) for e in ((), (0, 0, 0), (1, 1, 1))]
+    for prune in (True, False):
+        med = median(ball, *pts, prune=prune, _rows=FillRows(ball))
+        assert (med.t, med.slack) == (pts[0], 3)
 
 
 def test_split_loop_signals_a_loop_beyond_the_ball(z2):

@@ -86,6 +86,8 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "vertices", "--samples", "20000", "--seed", "2"],
         ["delta", "--group", "z2-std", "--radius", "2", "--domain", "half",
          "--samples", "0"],
+        # its domain holds the triple of the f2 radius-4 median line
+        ["delta", "--group", "f2", "--radius", "4", "--domain", "half"],
         # median
         ["median", "--group", "z2-std", "--radius", "8", "--x", "1~a",
          "--y", "b~a", "--z", "a,a,a,a,a~b"],
@@ -100,6 +102,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--y", "a^,b^,a", "--z", "b,a,b"],
         ["median", "--group", "f2", "--radius", "3", "--x", "a,b",
          "--y", "b^", "--z", "a^,a^"],
+        # the slack-0 point a a a lies 7 from x, past the radius-6 ball
+        ["median", "--group", "f2", "--radius", "4", "--x", "b,b,b,a^",
+         "--y", "a,a,a~b", "--z", "a,a,a~b^"],
         ["median", "--group", "z2-std", "--radius", "4", "--x", "a",
          "--y", "a", "--z", "b"],
         # ac
