@@ -46,17 +46,19 @@ trigger the cap.  The bound needs u's three distances exact, so the
 skip is off at a u with a FAR distance (ball.py): a midpoint there can
 read its other end's exact distance, far below u's.
 
-Before the scan, the seed step offers the triple's own midpoints and
-each pair's Gromov point: the vertex of the walk from a to b at the
-Gromov product (b|c)_a from its start.  Internal points of geodesic
-triangles are near-medians where slack is small, so under a running cap
-one offer usually ends the search, and otherwise a low best slack
-narrows the annulus.  A walk that leaves the ball offers nothing.  The
-seed stops at a best slack of 0, which no offer can lower; the scan
-still ranks every slack-0 point.  Whatever the seed offers, the scan
-offers every point that could win again, so the seed changes no result:
-a capped search returns None exactly when the least slack is within the
-cap.
+Before the scan, the seed step offers each pair's Gromov point: the
+vertex of the walk from a to b at the Gromov product (b|c)_a from its
+start.  Internal points of geodesic triangles are near-medians where
+slack is small, so under a running cap one offer usually ends the
+search, and otherwise a low best slack narrows the annulus.  A walk that
+leaves the ball offers nothing.  The Gromov offers stop at a best slack
+of 0, which no offer can lower; the scan still ranks every slack-0
+point.  The scan offers every vertex that could win again, so these
+offers change no result.  The seed then offers the triple's own
+midpoints, which the scan cannot replace: it prices a midpoint from its
+ends, which puts a triple's own midpoint 1 from itself, not 0, and that
+key loses to the seed's.  So a capped search returns None exactly when
+the least slack is within the cap.
 
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
@@ -248,19 +250,6 @@ def _d2(p: Point, p_row, q: Point, q_row) -> int:
     return (du if du < dv else dv) + 1
 
 
-def slack(ball: BallIndex, t: Point, x: Point, y: Point, z: Point) -> Fraction:
-    """Worst pair slack of t for the triple (x, y, z)."""
-    return max(pair_slacks(ball, t, x, y, z))
-
-
-def pair_slacks(ball: BallIndex, t: Point, x: Point, y: Point,
-                z: Point) -> tuple[Fraction, Fraction, Fraction]:
-    dxt, dyt, dzt = (ball.distance(p, t) for p in (x, y, z))
-    return (dxt + dyt - ball.distance(x, y),
-            dyt + dzt - ball.distance(y, z),
-            dzt + dxt - ball.distance(z, x))
-
-
 class _MedianSearch:
     """Shell scan state; all distances are doubled integers internally.
 
@@ -280,7 +269,6 @@ class _MedianSearch:
         self.dyz2 = _d2(y, yr, z, zr)
         self.dzx2 = _d2(z, zr, x, xr)
         self.best_key: tuple = (math.inf,)  # above every key
-        self.seen_mids: set[tuple[int, int]] = set()
 
     def mids_lose(self, u: int, s: int) -> bool:
         """True when no midpoint of an edge at vertex u, offered at
@@ -302,12 +290,10 @@ class _MedianSearch:
                    dz + dx - self.dzx2) > self.best_key[0]
 
     def consider_mid(self, u: int, v: int) -> None:
-        """Offer the midpoint of edge (u, v), once per search; seed marks
-        the triple's own midpoints seen when it offers them."""
-        key = (u, v) if u < v else (v, u)
-        if key in self.seen_mids:
-            return
-        self.seen_mids.add(key)
+        """Offer the midpoint of edge (u, v), priced from its ends' rows.
+        That puts a triple's own midpoint 1 from itself, not 0, so this
+        offer of it loses to the one seed made."""
+        a, b = (u, v) if u < v else (v, u)
         row = self.xr
         du, dv = row[u], row[v]
         dx = (du if du < dv else dv) + 1
@@ -316,12 +302,11 @@ class _MedianSearch:
         dy = (du if du < dv else dv) + 1
         row = self.zr
         du, dv = row[u], row[v]
-        self._offer(HALF, key[0], key[1], dx, dy,
-                    (du if du < dv else dv) + 1)
+        self._offer(HALF, a, b, dx, dy, (du if du < dv else dv) + 1)
 
     def _offer(self, kind: int, a: int, b: int,
-               dx: int, dy: int, dz: int) -> int:
-        """Offer a point and return its doubled slack; run offers shell
+               dx: int, dy: int, dz: int) -> None:
+        """Make a point the best when its key is less; run offers shell
         vertices inline, with the same steps."""
         s = dx + dy - self.dxy2
         s2 = dy + dz - self.dyz2
@@ -331,17 +316,16 @@ class _MedianSearch:
         if s2 > s:
             s = s2
         if s > self.best_key[0]:
-            return s
+            return
         # dz never decides: (kind, a, b) is unique to a point
         key = (s, dx, dy, kind, a, b, dz)
         if key < self.best_key:
             self.best_key = key
-        return s
 
     def seed(self, cap2: int) -> bool:
-        """Offer the triple's own midpoints, then each pair's Gromov
-        point, until the best slack is 0.  Returns True when the cap
-        aborts the triple.
+        """Offer each pair's Gromov point until the best slack is 0, then
+        the triple's own midpoints.  Returns True when the cap aborts the
+        triple.
 
         The Gromov point of a pair (a, b) with third point c is the inner
         vertex of walk(a, b) at the Gromov product (b|c)_a from its start,
@@ -350,14 +334,6 @@ class _MedianSearch:
         x, y, z = self.x, self.y, self.z
         xr, yr, zr = self.xr, self.yr, self.zr
         dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
-        if self.t_halves:
-            # a midpoint of the triple lies 0 from itself and the pair
-            # distances from the other two points
-            for p, dx, dy, dz in ((x, 0, dxy2, dzx2), (y, dxy2, 0, dyz2),
-                                  (z, dzx2, dyz2, 0)):
-                if p.kind == HALF:
-                    self.seen_mids.add((p.a, p.b))
-                    self._offer(HALF, p.a, p.b, dx, dy, dz)
         walk_of = self.rows.walk
         # g4 = 4 (b|c)_a, from doubled d(a, b) + d(a, c) - d(b, c)
         for a, b, g4 in ((x, y, dxy2 + dzx2 - dyz2),
@@ -367,7 +343,7 @@ class _MedianSearch:
             if s <= cap2:
                 return True
             if s == 0:
-                return False
+                break
             try:
                 walk = walk_of(a, b)
             except BallTooSmall:
@@ -376,6 +352,13 @@ class _MedianSearch:
             if 0 < i < len(walk) - 1:
                 tid = walk[i]
                 self._offer(VERTEX, tid, -1, xr[tid], yr[tid], zr[tid])
+        if self.t_halves:
+            # a midpoint of the triple lies 0 from itself and the pair
+            # distances from the other two points
+            for p, dx, dy, dz in ((x, 0, dxy2, dzx2), (y, dxy2, 0, dyz2),
+                                  (z, dzx2, dyz2, 0)):
+                if p.kind == HALF:
+                    self._offer(HALF, p.a, p.b, dx, dy, dz)
         return self.best_key[0] <= cap2
 
     def _result(self) -> MedianResult:

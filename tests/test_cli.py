@@ -95,6 +95,17 @@ def test_median_midpoint_syntax(capsys):
     assert payload["slack"] == "1/1"
 
 
+def test_median_is_one_of_the_triples_own_midpoints(capsys):
+    # only the seed offers y at distance 0 from itself; the scan prices it
+    # from its ends and would leave t = (2,0) at slack 1
+    code, out, _ = run(capsys, "median", "--group", "z2-std", "--radius", "4",
+                       "--x", "a,a,a", "--y", "a~a", "--z", "a^~a^")
+    assert code == 0
+    lines = out.splitlines()
+    assert "t=mid((1,0)|(2,0))" in lines
+    assert "slack=0/1" in lines
+
+
 def test_median_builds_the_margin_its_points_need(capsys):
     # at radius 3 a distance of this triple was once read off an in-ball
     # search and came out 0; the radius-8 ball holds every geodesic

@@ -12,8 +12,8 @@ from cayleylab.ball import FAR, HALF, VERTEX, BallIndex, Point, build_ball
 from cayleylab.errors import InputError
 from cayleylab.groups import RewritingGroup, get_group
 from cayleylab.ldelta import (DistanceRows, FillRows, domain_points,
-                              estimate_delta, median, pair_slacks,
-                              recommended_ball_radius, slack)
+                              estimate_delta, median,
+                              recommended_ball_radius)
 from cayleylab.rewriting import parse_group_file
 from oracles import (BruteMetric, brute_delta, brute_median, brute_slack2,
                      free_distance, grid_min_slack, plain_exhaustive_delta)
@@ -55,37 +55,45 @@ def mid(ball, u, v):
     return Point.half(ball.index[u], ball.index[v])
 
 
-# -- slack ------------------------------------------------------------------
+# -- slack, by the oracle ---------------------------------------------------
 
-def test_slack_zero_on_geodesic(z2ball):
-    x, y, z = vp(z2ball, (0, 0)), vp(z2ball, (2, 0)), vp(z2ball, (4, 0))
-    assert slack(z2ball, y, x, y, z) == 0
+def test_slack_zero_on_geodesic(z2ball, brute):
+    metric = brute("z2-std")[1]
+    x, y, z = (brute_point(z2ball, vp(z2ball, e))
+               for e in ((0, 0), (2, 0), (4, 0)))
+    assert brute_slack2(metric, y, x, y, z) == 0
 
 
-def test_slack_f2_tree_center(f2ball):
+def test_slack_f2_tree_center(f2ball, brute):
+    metric = brute("f2")[1]
     ab = f2ball.group.alphabet.parse_word
-    x, y = vp(f2ball, ab("a,a")), vp(f2ball, ab("b,b"))
-    z = t = vp(f2ball, ())
-    assert slack(f2ball, t, x, y, z) == 0
+    x, y = (brute_point(f2ball, vp(f2ball, ab(w))) for w in ("a,a", "b,b"))
+    z = t = brute_point(f2ball, vp(f2ball, ()))
+    assert brute_slack2(metric, t, x, y, z) == 0
 
 
-def test_slack_direct_evaluation(z2ball):
-    x, y, z = vp(z2ball, (1, 0)), vp(z2ball, (0, 1)), vp(z2ball, (1, 1))
-    t = vp(z2ball, (0, 0))
-    ps = pair_slacks(z2ball, t, x, y, z)
-    # d(x,t)=d(y,t)=1, d(z,t)=2; d(x,y)=2, d(y,z)=1, d(z,x)=1
-    assert ps == (0, 2, 2)
-    assert slack(z2ball, t, x, y, z) == 2
+def test_slack_direct_evaluation(z2ball, brute):
+    metric = brute("z2-std")[1]
+    x, y, z, t = (brute_point(z2ball, vp(z2ball, e))
+                  for e in ((1, 0), (0, 1), (1, 1), (0, 0)))
+    # d(x,t)=d(y,t)=1, d(z,t)=2; d(x,y)=2, d(y,z)=1, d(z,x)=1, so the
+    # pair slacks are 0, 2, 2 (doubled: 0, 4, 4)
+    assert [metric.d2(p, t) for p in (x, y, z)] == [2, 2, 4]
+    assert [metric.d2(p, q) for p, q in ((x, y), (y, z), (z, x))] == [4, 2, 2]
+    assert brute_slack2(metric, t, x, y, z) == 4
     # z itself is a perfect median for this triple
-    assert slack(z2ball, z, x, y, z) == 0
+    assert brute_slack2(metric, z, x, y, z) == 0
 
 
-def test_slack_permutation_invariant(z2ball):
+def test_slack_permutation_invariant(z2ball, brute):
+    metric = brute("z2-std")[1]
     rng = random.Random(1)
     inner = [v for v in range(len(z2ball)) if z2ball.dist[v] <= 4]
     for _ in range(60):
-        x, y, z, t = (Point.vertex(rng.choice(inner)) for _ in range(4))
-        vals = {slack(z2ball, t, *p) for p in itertools.permutations((x, y, z))}
+        x, y, z, t = (brute_point(z2ball, Point.vertex(rng.choice(inner)))
+                      for _ in range(4))
+        vals = {brute_slack2(metric, t, *p)
+                for p in itertools.permutations((x, y, z))}
         assert len(vals) == 1
 
 
@@ -285,26 +293,30 @@ def test_annulus_pads_the_shells_of_a_midpoint_x(name, x, y, z):
 
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 @pytest.mark.parametrize("undersized", [False, True])
-def test_midpoint_slack_within_a_step_of_its_end(name, undersized):
+def test_midpoint_slack_within_a_step_of_its_end(name, undersized, brute):
     # the search skips the midpoints at a vertex u whose slack is more
     # than 1 above the best; that is sound where u's three distances are
     # exact, which every distance short of FAR is, even on a small ball
-    group = get_group(name)
+    group, metric = brute(name)
     radius = 3 if undersized else recommended_ball_radius(group, 2)
     ball = build_ball(group, radius)
     pts = domain_points(ball, 2, "half")
     rng = random.Random(29)
     checked = 0
     for _ in range(20):
-        x, y, z = (pts[i] for i in rng.sample(range(len(pts)), 3))
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        brute_triple = [brute_point(ball, p) for p in triple]
         for u in range(len(ball)):
             t = Point.vertex(u)
-            if any(ball.distance(p, t) >= FAR for p in (x, y, z)):
+            if any(ball.distance(p, t) >= FAR for p in triple):
                 continue
-            bound = slack(ball, t, x, y, z) - 1
+            bound = brute_slack2(metric, brute_point(ball, t),
+                                 *brute_triple) - 2
             for w in ball.adj[u]:
                 if w >= 0:
-                    assert slack(ball, Point.half(u, w), x, y, z) >= bound
+                    assert brute_slack2(
+                        metric, brute_point(ball, Point.half(u, w)),
+                        *brute_triple) >= bound
                     checked += 1
     assert checked > 400
 
@@ -329,24 +341,29 @@ def test_midpoint_skip_keeps_medians(monkeypatch):
     assert medians() == skipping
 
 
-def test_midpoint_skip_keeps_midpoints_at_a_far_vertex():
+def test_midpoint_skip_keeps_midpoints_at_a_far_vertex(brute):
     # on the undersized ball u = (0,0,1), at norm 4, reads FAR from y, yet
-    # its midpoints towards x and z read their other end's exact
-    # distances and tie the median's slack, so they could still win
+    # its midpoints towards x and z tie the median's slack, so they could
+    # still win; the skip sees u's slack as the search's rows price it
     ball = build_ball(get_group("heisenberg"), 4)
+    metric = brute("heisenberg")[1]
     x, y, z = (vp(ball, e) for e in ((0, 1, 1), (1, 0, -1), (-1, 0, 1)))
-    best = median(ball, x, y, z).slack
-    assert best == 2
+    brute_triple = [brute_point(ball, p) for p in (x, y, z)]
+    best2 = int(2 * median(ball, x, y, z).slack)
+    assert best2 == 4
     search = ldelta._MedianSearch(ball, DistanceRows(ball), x, y, z, True)
-    search.best_key = (int(2 * best),)
+    search.best_key = (best2,)
+    xr, yr, zr = search.xr, search.yr, search.zr
     kept = 0
     for u in range(len(ball)):
-        t = Point.vertex(u)
-        if all(ball.distance(p, t) < FAR for p in (x, y, z)):
+        if all(row[u] < FAR for row in (xr, yr, zr)):
             continue
-        s2 = int(2 * slack(ball, t, x, y, z))
+        s2 = max(xr[u] + yr[u] - search.dxy2, yr[u] + zr[u] - search.dyz2,
+                 zr[u] + xr[u] - search.dzx2)
         for w in ball.adj[u]:
-            if w >= 0 and slack(ball, Point.half(u, w), x, y, z) <= best:
+            if w >= 0 and brute_slack2(metric,
+                                       brute_point(ball, Point.half(u, w)),
+                                       *brute_triple) <= best2:
                 assert not search.mids_lose(u, s2)
                 kept += 1
     assert kept == 2

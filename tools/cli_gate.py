@@ -107,6 +107,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--y", "a,a,a~b", "--z", "a,a,a~b^"],
         ["median", "--group", "z2-std", "--radius", "4", "--x", "a",
          "--y", "a", "--z", "b"],
+        # the median is y, one of the triple's own midpoints
+        ["median", "--group", "z2-std", "--radius", "4", "--x", "a,a,a",
+         "--y", "a~a", "--z", "a^~a^"],
         # ac
         ["ac", "--group", "f2", "--radius", "7", "--nmax", "6", "--delta",
          "0/1"],
