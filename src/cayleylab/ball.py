@@ -235,8 +235,11 @@ class BallIndex:
     # -- realization points ------------------------------------------------
 
     def check_point(self, p: Point) -> None:
-        ids = (p.a,) if p.kind == VERTEX else (p.a, p.b)
-        for vid in ids:
+        """InputError unless p is a point of the ball in canonical form."""
+        if not (p.kind == VERTEX and p.b == -1
+                or p.kind == HALF and p.a < p.b):
+            raise InputError(f"{p} is not a canonical point")
+        for vid in ((p.a,) if p.kind == VERTEX else (p.a, p.b)):
             if not (0 <= vid < len(self.elements)):
                 raise InputError(f"point references vertex {vid} outside ball")
         if p.kind == HALF and p.b not in self.adj[p.a]:
@@ -246,12 +249,6 @@ class BallIndex:
         if p.kind == VERTEX:
             return Fraction(self.dist[p.a])
         return HALF_STEP + min(self.dist[p.a], self.dist[p.b])
-
-    def point_of_element(self, e: Element) -> Point:
-        vid = self.index.get(e)
-        if vid is None:
-            raise InputError("element outside ball")
-        return Point.vertex(vid)
 
     def distance(self, p: Point, q: Point) -> Fraction:
         self.check_point(p)
@@ -332,14 +329,13 @@ class BallIndex:
         """A shortest path word from u to v through norms at most
         max_norm; B_max_norm is connected, so one exists."""
         reach = self._bfs_from(u, [v], max_norm)
-        inverse = self.group.alphabet.inverse
         letters: list[int] = []
         cur = v
         while cur != u:
             nearer = reach[cur] - 1
             gen, cur = next((g, b) for g, b in enumerate(self.adj[cur])
                             if reach.get(b) == nearer)
-            letters.append(inverse(gen))
+            letters.append(gen ^ 1)
         return tuple(reversed(letters))
 
     def geodesic(self, p: Point, q: Point) -> GeodesicPath:

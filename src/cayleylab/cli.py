@@ -23,7 +23,8 @@ from .errors import InputError, InternalError, ResourceError
 from .groups import get_group
 from .ldelta import estimate_delta, median, recommended_ball_radius
 from .rewriting import check_local_confluence, parse_group_file
-from .vankampen import adaptive, dehn_scan, fill, fixed, to_conjugate_product
+from .vankampen import (SUBCUBIC_EXPONENT, adaptive, dehn_scan, fill, fixed,
+                        to_conjugate_product)
 from .words import free_reduce
 
 
@@ -41,10 +42,11 @@ def point_str(ball: BallIndex, p: Point) -> str:
 
 def parse_point(ball: BallIndex, text: str) -> Point:
     """A vertex given as a word, or `word~label` for the midpoint of the
-    edge leaving that vertex along one generator."""
+    edge leaving that vertex along one generator; `1` or `e` alone is the
+    identity unless it is a generator label."""
     group = ball.group
     word_part, _, gen_label = text.partition("~")
-    if word_part in ("1", "e"):
+    if word_part in ("1", "e") and word_part not in group.alphabet.labels:
         word_part = ""
     e = group.evaluate(group.alphabet.parse_word(word_part))
     vid = ball.index.get(e)
@@ -167,7 +169,7 @@ def cmd_ac(args) -> int:
 
 
 def _tree_lines(ball, node, indent, lines) -> None:
-    mark = "leaf" if node.is_leaf else "split"
+    mark = "split" if node.children else "leaf"
     lines.append(f"{'  ' * indent}{mark} n={len(node.loop.word)} "
                  f"base={ball.group.format_element(node.loop.base)}")
     for child in node.children:
@@ -188,9 +190,8 @@ def cmd_fill(args) -> int:
                  f"leaves={tree.leaf_count} max_leaf={tree.max_leaf_length}"]
         _tree_lines(ball, tree.root, 0, lines)
     elif args.emit == "product":
-        prod = to_conjugate_product(tree)
         lines = [f"{fmt_word(g) or '1'}\t{fmt_word(r) or '1'}"
-                 for g, r in prod.factors]
+                 for g, r in to_conjugate_product(tree)]
     else:  # dot
         lines = ["digraph fill {"]
         counter = [0]
@@ -218,7 +219,7 @@ def cmd_dehn_scan(args) -> int:
         lines.append(f"{n},{count},{mx},{frac(mean)}")
     slope = "none" if scan.slope is None else f"{scan.slope:.4f}"
     lines.append(f"slope,{slope}")
-    lines.append(f"reference,{scan.reference_exponent:.4f}")
+    lines.append(f"reference,{SUBCUBIC_EXPONENT:.4f}")
     lines.append(f"threshold,{scan.threshold}")
     emit(lines)
     return 0

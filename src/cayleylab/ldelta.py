@@ -240,8 +240,8 @@ def bounded_rows(rows: DistanceRows) -> DistanceRows:
 
 
 def _d2(p: Point, p_row, q: Point, q_row) -> int:
-    """Twice ball.try_distance(p, q) for distinct points, read like it
-    from the vertex's side when one point is a vertex."""
+    """Twice the distance of distinct points from doubled rows, read from
+    a vertex's row where one is; a midpoint adds one to its nearer end."""
     if p.kind == HALF and q.kind == VERTEX:
         p, p_row, q = q, q_row, p
     if q.kind == VERTEX:

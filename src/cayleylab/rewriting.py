@@ -38,7 +38,7 @@ class RewritingSystem:
                     f"rule {alphabet.format_word(lhs)} -> {alphabet.format_word(rhs)} "
                     "does not decrease shortlex rank"
                 )
-        free = [((g, alphabet.inverse(g)), ()) for g in range(len(alphabet))]
+        free = [((g, g ^ 1), ()) for g in range(len(alphabet))]
         # the free rules first, then the user's, each once
         self.rules: tuple[Rule, ...] = tuple(dict.fromkeys(
             free + [(tuple(lhs), tuple(rhs)) for lhs, rhs in rules]))

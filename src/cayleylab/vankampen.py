@@ -70,10 +70,6 @@ class SubdivisionNode:
     conjugators: tuple[Word, Word, Word] | None = None  # of the children
     children: list["SubdivisionNode"] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass
 class SubdivisionTree:
@@ -87,15 +83,9 @@ class SubdivisionTree:
 
 
 @dataclass
-class ConjugateProduct:
-    factors: list[tuple[Word, Word]]  # (conjugator g_i, relator r_i)
-
-
-@dataclass
 class AreaScan:
     records: list[tuple]  # (n, samples, max cells, mean cells as Fraction)
     slope: float | None
-    reference_exponent: float
     threshold: int
 
 
@@ -128,15 +118,10 @@ def _loop_vertices(ball: BallIndex, loop: Loop) -> list[int]:
     return ids
 
 
-@dataclass
-class SplitResult:
-    children: tuple[Loop, Loop, Loop]
-    conjugators: tuple[Word, Word, Word]  # relative to the parent base
-
-
 def split_loop(ball: BallIndex, loop: Loop,
-               rows: DistanceRows) -> SplitResult:
-    """Trisect a loop through a median of its third-points.
+               rows: DistanceRows) -> tuple[tuple, tuple]:
+    """Trisect a loop through a median of its third-points: (children,
+    conjugators), three loops and their conjugators from the parent base.
 
     Splits at vertex offsets floor(n/3) and n - floor(n/3), connects the
     three marked vertices to a minimum-slack vertex t, verifies the
@@ -180,7 +165,7 @@ def split_loop(ball: BallIndex, loop: Loop,
         if len(child.word) >= n:
             raise ContractionError(child)
         children.append(child)
-    return SplitResult(tuple(children), conjs)
+    return tuple(children), conjs
 
 
 class _Splits(dict):
@@ -193,7 +178,7 @@ class _Splits(dict):
         self.ball = ball
         self.rows = FillRows(ball)
 
-    def __missing__(self, loop: Loop) -> SplitResult:
+    def __missing__(self, loop: Loop) -> tuple:
         self.rows = bounded_rows(self.rows)
         split = self[loop] = split_loop(self.ball, loop, self.rows)
         return split
@@ -214,10 +199,10 @@ def _fill_once(splits: _Splits, loop: Loop, threshold: int,
     """Recursive subdivision; returns (node, depth, leaves, max leaf len)."""
     if len(loop.word) <= threshold:
         return SubdivisionNode(loop), depth, 1, len(loop.word)
-    split = splits[loop]
-    node = SubdivisionNode(loop, split.conjugators)
+    children, conjugators = splits[loop]
+    node = SubdivisionNode(loop, conjugators)
     max_d, leaves, max_len = depth, 0, 0
-    for child in split.children:
+    for child in children:
         sub, d, l, m = _fill_once(splits, child, threshold, depth + 1)
         node.children.append(sub)
         max_d = max(max_d, d)
@@ -270,8 +255,9 @@ def fill(ball: BallIndex, w: Word,
             splits.grow()
 
 
-def to_conjugate_product(tree: SubdivisionTree) -> ConjugateProduct:
-    """Flatten a subdivision tree into Van Kampen factors g_i r_i g_i^-1.
+def to_conjugate_product(tree: SubdivisionTree) -> list[tuple[Word, Word]]:
+    """Flatten a subdivision tree into Van Kampen factors g_i r_i g_i^-1,
+    the pairs (conjugator g_i, relator r_i).
 
     Leaves are visited left to right; each contributes its loop word
     conjugated by the accumulated path from the root base to its own
@@ -280,7 +266,7 @@ def to_conjugate_product(tree: SubdivisionTree) -> ConjugateProduct:
     factors: list[tuple[Word, Word]] = []
 
     def walk(node: SubdivisionNode, prefix: Word) -> None:
-        if node.is_leaf:
+        if not node.children:
             factors.append((free_reduce(prefix), node.loop.word))
             return
         for child, conj in zip(node.children, node.conjugators):
@@ -293,7 +279,7 @@ def to_conjugate_product(tree: SubdivisionTree) -> ConjugateProduct:
     w = tree.root.loop.word
     if free_reduce(tuple(product)) != free_reduce(w):
         raise InternalError("conjugate product failed free-reduction check")
-    return ConjugateProduct(factors)
+    return factors
 
 
 def random_identity_word(group: Group, n: int, seed,
@@ -324,9 +310,7 @@ def canonical_identity_word(group: Group, n: int) -> Word | None:
         return None
     j = n // 4
     a, b = 0, 2  # first two positive generators
-    ai = group.alphabet.inverse(a)
-    bi = group.alphabet.inverse(b)
-    return (a,) * j + (b,) * j + (ai,) * j + (bi,) * j
+    return (a,) * j + (b,) * j + (a ^ 1,) * j + (b ^ 1,) * j
 
 
 def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
@@ -383,4 +367,4 @@ def dehn_scan(group: Group, lengths: list[int], samples_per_length: int,
         num = sum((x - mean_x) * (y - mean_y) for x, y in pts)
         den = sum((x - mean_x) ** 2 for x, _ in pts)
         slope = num / den
-    return AreaScan(records, slope, SUBCUBIC_EXPONENT, max_threshold)
+    return AreaScan(records, slope, max_threshold)

@@ -44,12 +44,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def inverse(self, gen_id: int) -> int:
-        return gen_id ^ 1
-
-    def label(self, gen_id: int) -> str:
-        return self.labels[gen_id]
-
     def id_of(self, label: str) -> int:
         try:
             return self._by_label[label]
@@ -61,13 +55,13 @@ class Alphabet:
             if not (0 <= g < len(self.labels)):
                 raise InputError(f"unknown generator id {g}")
 
-    def parse_word(self, text: str, sep: str = ",") -> Word:
+    def parse_word(self, text: str) -> Word:
         """Parse a word like "a,b,a^" (or space separated)."""
-        parts = text.split(sep) if sep in text else text.split()
+        parts = text.split(",") if "," in text else text.split()
         return tuple(self.id_of(p.strip()) for p in parts if p.strip())
 
-    def format_word(self, w: Word, sep: str = " ") -> str:
-        return sep.join(self.label(g) for g in w)
+    def format_word(self, w: Word) -> str:
+        return " ".join(self.labels[g] for g in w)
 
 
 def free_reduce(w: Word) -> Word:

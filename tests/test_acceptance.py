@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from cayleylab.ball import build_ball
+from cayleylab.ball import Point, build_ball
 from cayleylab.cli import main
 from cayleylab.convexity import ac_constant
 from cayleylab.groups import RewritingGroup, get_group
@@ -90,7 +90,7 @@ def test_criterion_05_heisenberg_delta_increasing():
     assert est.sampling == "exhaustive"
     assert est.value == 4
     ball = build_ball(group, recommended_ball_radius(group, 6))
-    triple = [ball.point_of_element(e)
+    triple = [Point.vertex(ball.index[e])
               for e in ((3, 1, 3), (0, 2, -3), (-1, 5, 0))]
     assert [ball.point_norm(p) for p in triple] == [4, 6, 6]
     for prune in (True, False):
@@ -117,7 +117,7 @@ def test_criterion_06_fill_correctness():
         assert tree.leaf_count <= 3 ** tree.depth
         prod = to_conjugate_product(tree)
         flat = []
-        for g, r in prod.factors:
+        for g, r in prod:
             assert len(r) <= tree.threshold
             assert group.evaluate(r) == group.identity()
             flat.extend(concat(g, r, invert(g)))

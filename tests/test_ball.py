@@ -7,6 +7,7 @@ import pytest
 from cayleylab.ball import FAR, VERTEX, Point, build_ball
 from cayleylab.errors import InputError, ResourceError
 from cayleylab.groups import RewritingGroup, get_group
+from cayleylab.ldelta import median
 from cayleylab.rewriting import parse_group_file
 from oracles import (free_distance, heisenberg_ball, z2_abc_norm, z2_std_norm)
 from test_rewriting import Z2_RULES_TEXT
@@ -73,9 +74,9 @@ def test_adjacency_and_bfs_tree_match_group(name, radius):
                                for g in range(len(group.alphabet))]
         for g, w in enumerate(ball.adj[v]):
             if w >= 0:
-                assert ball.adj[w][group.alphabet.inverse(g)] == v
+                assert ball.adj[w][g ^ 1] == v
         if v:
-            parent = ball.adj[v][group.alphabet.inverse(ball.parent_gen[v])]
+            parent = ball.adj[v][ball.parent_gen[v] ^ 1]
             assert ball.dist[v] == ball.dist[parent] + 1
 
 
@@ -93,14 +94,14 @@ def test_adjacency_is_involutive():
         for u, row in enumerate(ball.adj):
             for gen, v in enumerate(row):
                 if v >= 0:
-                    assert ball.adj[v][group.alphabet.inverse(gen)] == u
+                    assert ball.adj[v][gen ^ 1] == u
                 assert v < 0 or abs(ball.dist[u] - ball.dist[v]) <= 1
 
 
 def test_z2_vertex_distance_is_l1():
     ball = build_ball(get_group("z2-std"), 9)
-    origin = ball.point_of_element((0, 0))
-    target = ball.point_of_element((3, 4))
+    origin = Point.vertex(ball.index[(0, 0)])
+    target = Point.vertex(ball.index[(3, 4)])
     assert ball.distance(origin, target) == 7
 
 
@@ -141,8 +142,8 @@ def test_vertex_distance_beyond_the_ball_is_far(name):
     # a^2 and a^-2 are 4 apart, beyond the radius-2 ball: no estimate
     # from inside it, and no geodesic
     ball = build_ball(get_group(name), 2)
-    u, v = (ball.point_of_element(ball.group.evaluate(
-        ball.group.alphabet.parse_word(w))) for w in ("a,a", "a^,a^"))
+    u, v = (Point.vertex(ball.index[ball.group.evaluate(
+        ball.group.alphabet.parse_word(w))]) for w in ("a,a", "a^,a^"))
     assert ball.vertex_distance(u.a, v.a) == FAR > ball.radius
     assert ball.vertex_distance(v.a, u.a) == FAR
     assert ball.vertex_distance(u.a, 0) == 2
@@ -162,19 +163,21 @@ def test_f2_distance_matches_tree_oracle():
 
 def test_geodesic_examples():
     z2 = build_ball(get_group("z2-std"), 6)
-    path = z2.geodesic(z2.point_of_element((0, 0)), z2.point_of_element((2, 0)))
+    path = z2.geodesic(Point.vertex(z2.index[(0, 0)]),
+                       Point.vertex(z2.index[(2, 0)]))
     assert path.length == 2
     assert z2.group.evaluate(path.word) == (2, 0)
 
     f2 = build_ball(get_group("f2"), 4)
-    ab = f2.point_of_element(f2.group.alphabet.parse_word("a,b"))
-    a = f2.point_of_element(f2.group.alphabet.parse_word("a"))
+    ab = Point.vertex(f2.index[f2.group.alphabet.parse_word("a,b")])
+    a = Point.vertex(f2.index[f2.group.alphabet.parse_word("a")])
     path = f2.geodesic(ab, a)
     assert path.length == 1
     assert path.word == f2.group.alphabet.parse_word("b^")
 
     abc = build_ball(get_group("z2-abc"), 8)
-    path = abc.geodesic(abc.point_of_element((0, 0)), abc.point_of_element((2, 2)))
+    path = abc.geodesic(Point.vertex(abc.index[(0, 0)]),
+                        Point.vertex(abc.index[(2, 2)]))
     assert path.length == 2
     assert path.word == abc.group.alphabet.parse_word("c,c")
 
@@ -237,6 +240,26 @@ def test_point_outside_ball_rejected():
     ball = build_ball(get_group("z2-std"), 2)
     with pytest.raises(InputError):
         ball.distance(Point.vertex(0), Point.vertex(len(ball) + 5))
+
+
+def test_non_canonical_points_rejected():
+    # Point(HALF, v, u) with u < v is the midpoint Point.half(u, v), and
+    # Point(VERTEX, u, 7) the vertex u, but neither compares equal to it;
+    # unchecked, such a point reads 1 apart from its twin and makes a
+    # triple of two distinct points look like three
+    ball = build_ball(get_group("z2-std"), 6)
+    u, v = ball.edges[0]
+    mid = Point.half(u, v)
+    for p in (Point(VERTEX, 3, 7), Point(mid.kind, v, u),
+              Point(mid.kind, u, u), Point(2, u, v)):
+        with pytest.raises(InputError):
+            ball.check_point(p)
+    with pytest.raises(InputError):
+        ball.distance(mid, Point(mid.kind, v, u))
+    with pytest.raises(InputError):
+        median(ball, Point.vertex(3), Point(VERTEX, 3, 7), Point.vertex(20))
+    ball.check_point(Point.vertex(3))
+    ball.check_point(mid)
 
 
 # -- balls derived from a source ball -----------------------------------------

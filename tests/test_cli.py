@@ -1,10 +1,15 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from cayleylab import cli
+from cayleylab.ball import Point, build_ball
 from cayleylab.cli import main, parse_lengths
 from cayleylab.errors import InputError
+from cayleylab.groups import get_group
 from test_groups import NON_CONFLUENT_RULES
 
 # same 8-rule system as in test_rewriting
@@ -104,6 +109,25 @@ def test_median_is_one_of_the_triples_own_midpoints(capsys):
     lines = out.splitlines()
     assert "t=mid((1,0)|(2,0))" in lines
     assert "slack=0/1" in lines
+
+
+def z2_rules_on(x, y):
+    """Z2_RULES with the generators a and b relabelled x and y."""
+    return re.sub(r"\bb\b", y, re.sub(r"\ba\b", x, Z2_RULES))
+
+
+def test_generator_labels_e_and_1_are_not_the_identity(tmp_path, capsys):
+    # `e` and `1` name the identity only where no generator has that label
+    path = tmp_path / "ef.grp"
+    path.write_text(z2_rules_on("e", "f"))
+    code, out, _ = run(capsys, "median", "--group", str(path), "--radius",
+                       "3", "--x", "e", "--y", "f", "--z", "e,e")
+    assert code == 0
+    assert out.splitlines()[2:5] == ["x=e", "y=f", "z=e e"]
+    path.write_text(z2_rules_on("1", "f"))
+    ball = build_ball(get_group(str(path)), 2)
+    assert cli.parse_point(ball, "1") == Point.vertex(ball.adj[0][0])
+    assert cli.parse_point(ball, "e") == Point.vertex(0)
 
 
 def test_median_builds_the_margin_its_points_need(capsys):
@@ -420,3 +444,15 @@ def test_fill_payloads_do_not_depend_on_ball_sizing(argv, expected, capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_readme_states_the_cli_gate_count():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "cli_gate", root / "tools" / "cli_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"It runs (\d+) command lines", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(gate.configurations("z2", "bad"))

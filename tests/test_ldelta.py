@@ -48,7 +48,7 @@ GROUP_NAMES = ["z2-std", "z2-abc", "heisenberg", "f2", "z2-rules"]
 
 
 def vp(ball, e):
-    return ball.point_of_element(e)
+    return Point.vertex(ball.index[e])
 
 
 def mid(ball, u, v):
@@ -157,8 +157,7 @@ def test_median_half_point_witness(z2ball):
 
 def test_median_z2_abc_positive():
     ball = build_ball(get_group("z2-abc"), 14)
-    m = median(ball, ball.point_of_element((2, 2)),
-               ball.point_of_element((2, -2)), ball.point_of_element((0, 0)))
+    m = median(ball, vp(ball, (2, 2)), vp(ball, (2, -2)), vp(ball, (0, 0)))
     assert m.slack == 1  # frozen from the closed-form norm oracle
 
 
@@ -451,7 +450,7 @@ def test_median_at_the_margin_equals_a_larger_ball(name, radius):
 def test_median_of_a_far_pair_is_an_input_error():
     # a^3 and a^-3 are 6 apart, beyond the radius-3 ball
     ball = build_ball(get_group("z2-std"), 3)
-    x, y, z = (ball.point_of_element(e) for e in ((3, 0), (-3, 0), (0, 1)))
+    x, y, z = (vp(ball, e) for e in ((3, 0), (-3, 0), (0, 1)))
     assert ball.distance(x, y) == FAR
     with pytest.raises(InputError, match="recommended_ball_radius"):
         median(ball, x, y, z)
@@ -462,7 +461,7 @@ def test_median_whose_geodesic_leaves_the_ball_is_an_input_error():
     # (1,1)^-1 (3,0) runs from (1,1) through (3,1), of norm 4; the median
     # needs no walk along it and finds the point of a larger ball
     ball = build_ball(get_group("z2-std"), 3)
-    x, y, z = (ball.point_of_element(e) for e in ((1, 1), (3, 0), (0, 0)))
+    x, y, z = (vp(ball, e) for e in ((1, 1), (3, 0), (0, 0)))
     with pytest.raises(InputError, match="geodesic leaves the ball"):
         ball.vertex_geodesic_word(x.a, y.a)
     big = build_ball(ball.group, 12, source=ball)

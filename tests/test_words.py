@@ -17,12 +17,19 @@ def w(alphabet, text):
 
 
 def test_alphabet_is_inverse_closed(ab):
+    assert ab.labels == ("a", "a^", "b", "b^")
+    assert len(ab) == 4
+    for x in ("a", "b"):
+        assert ab.id_of(x + "^") == ab.id_of(x) ^ 1
     for g in range(len(ab)):
-        assert ab.inverse(ab.inverse(g)) == g
-    labels = [ab.label(g) for g in range(len(ab))]
-    assert len(set(labels)) == len(labels)
-    assert [(g, ab.label(g), ab.inverse(g)) for g in range(len(ab))] == [
-        (0, "a", 1), (1, "a^", 0), (2, "b", 3), (3, "b^", 2)]
+        assert ab.id_of(ab.labels[g]) == g
+
+
+def test_words_parse_on_commas_or_whitespace_and_format_with_spaces(ab):
+    assert ab.parse_word("a, b^ ,a") == ab.parse_word(" a b^\ta ") == (0, 3, 0)
+    assert ab.parse_word("") == ab.parse_word(" , ") == ()
+    assert ab.format_word((0, 3, 0)) == "a b^ a"
+    assert ab.format_word(()) == ""
 
 
 def test_free_reduce_examples(ab):
