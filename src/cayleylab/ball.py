@@ -54,6 +54,8 @@ HALF_STEP = Fraction(1, 2)
 
 FAR = 1 << 40  # beyond every distance in a ball; an int, like doubled rows
 
+MAX_VERTICES = 2_000_000  # a build that would pass it raises ResourceError
+
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -94,18 +96,17 @@ def _plus_half_steps(p: Point, q: Point, d: int) -> Fraction:
     return HALF_STEP * ((p.kind == HALF) + (q.kind == HALF)) + d
 
 
-def _cap_error(max_vertices: int) -> ResourceError:
-    return ResourceError(f"ball exceeds max_vertices cap ({max_vertices})")
+def _cap_error() -> ResourceError:
+    return ResourceError(f"ball exceeds max_vertices cap ({MAX_VERTICES})")
 
 
 class BallIndex:
-    def __init__(self, group: Group, radius: int, max_vertices: int = 2_000_000,
+    def __init__(self, group: Group, radius: int,
                  source: "BallIndex | None" = None):
         if radius < 0:
             raise InputError("ball radius must be >= 0")
         self.group = group
         self.radius = radius
-        self.max_vertices = max_vertices
 
         if source is None:
             self.elements: list[Element] = [group.identity()]
@@ -121,8 +122,8 @@ class BallIndex:
             if radius <= source.radius:
                 raise InputError("a source ball must be smaller than the "
                                  "ball grown from it")
-            if len(source.elements) > max_vertices:
-                raise _cap_error(max_vertices)
+            if len(source.elements) > MAX_VERTICES:
+                raise _cap_error()
             expanded = source.shell_start[source.radius]
             self.elements = list(source.elements)
             self.index = dict(source.index)
@@ -157,7 +158,7 @@ class BallIndex:
         """
         elements, index, dist = self.elements, self.index, self.dist
         parent_gen, adj = self.parent_gen, self.adj
-        radius, max_vertices = self.radius, self.max_vertices
+        radius = self.radius
         apply = self.group.apply
         gens = range(len(self.group.alphabet))
         while vid < len(elements) and dist[vid] < radius:
@@ -167,8 +168,8 @@ class BallIndex:
                 f = apply(e, gen)
                 nid = index.get(f)
                 if nid is None:
-                    if len(elements) >= max_vertices:
-                        raise _cap_error(max_vertices)
+                    if len(elements) >= MAX_VERTICES:
+                        raise _cap_error()
                     nid = len(elements)
                     index[f] = nid
                     elements.append(f)
@@ -385,16 +386,16 @@ class BallIndex:
         return pairs
 
 
-def build_ball(group: Group, radius: int, max_vertices: int = 2_000_000,
+def build_ball(group: Group, radius: int,
                source: BallIndex | None = None) -> BallIndex:
     """The ball of the given radius, built by BFS from the identity.
 
     With `source`, a smaller ball of the same group, the BFS resumes at
     the source's outer shell instead, so only the new shells cost apply
-    calls; the result equals build_ball(group, radius, max_vertices) in
-    every field, and the vertex cap fails as a fresh build would.  A
-    source at least as large as the radius asked for is an input error.
+    calls; the result equals build_ball(group, radius) in every field,
+    and the MAX_VERTICES cap fails as a fresh build would.  A source at
+    least as large as the radius asked for is an input error.
     Expanded adjacency rows are shared with the source; no ball mutates
     its rows after it is built.
     """
-    return BallIndex(group, radius, max_vertices, source)
+    return BallIndex(group, radius, source)

@@ -47,14 +47,15 @@ skip is off at a u with a FAR distance (ball.py): a midpoint there can
 read its other end's exact distance, far below u's.
 
 Before the scan, the seed step offers each pair's Gromov point: the
-vertex of the walk from a to b at the Gromov product (b|c)_a from its
-start.  Internal points of geodesic triangles are near-medians where
-slack is small, so under a running cap one offer usually ends the
-search, and otherwise a low best slack narrows the annulus.  A walk that
-leaves the ball offers nothing.  The Gromov offers stop at a best slack
-of 0, which no offer can lower; the scan still ranks every slack-0
-point.  The scan offers every vertex that could win again, so these
-offers change no result.  The seed then offers the triple's own
+vertex floor((b|c)_a) steps from a towards b, found by stepping down b's
+distance row from the end of a nearer to b.  Internal points of
+geodesic triangles are near-medians where slack is small, so under a
+running cap one offer usually ends the search, and otherwise a low best
+slack narrows the annulus.  A descent that finds no in-ball step, or
+reads FAR on strict rows, offers nothing.  The Gromov offers stop at a
+best slack of 0, which no offer can lower; the scan still ranks every
+slack-0 point.  The scan offers every vertex that could win again, so
+these offers change no result.  The seed then offers the triple's own
 midpoints, which the scan cannot replace: it prices a midpoint from its
 ends, which puts a triple's own midpoint 1 from itself, not 0, and that
 key loses to the seed's.  So a capped search returns None exactly when
@@ -63,10 +64,9 @@ the least slack is within the cap.
 The search reads every distance from a DistanceRows cache: row u maps a
 vertex id v to twice ball.vertex_distance(u, v), computed on first use,
 so repeated lookups are plain subscripts on doubled integers.  A
-midpoint's row is read from its ends' rows, and the walk of one seed
-geodesic per point pair is kept as well.  The shell scan fills a vertex
-anchor's row as it goes: the candidate t = a s for s on shell m lies at
-distance m from a.  median() makes a fresh cache per call;
+midpoint's row is read from its ends' rows.  The shell scan fills a
+vertex anchor's row as it goes: the candidate t = a s for s on shell m
+lies at distance m from a.  median() makes a fresh cache per call;
 estimate_delta shares one across its triples and vankampen.fill a
 FillRows one across its splits, and bounded_rows starts both afresh past
 _CACHE_ENTRIES distances (about 45 bytes each).  None computes a full
@@ -169,11 +169,10 @@ class _MidRow(dict):
 class DistanceRows(dict):
     """rows[u][v] == 2 * ball.vertex_distance(u, v), computed on first use.
 
-    Midpoints get rows of the same kind, read from their ends' rows, and
-    the vertex walk of one seed geodesic per point pair is kept too.  A
+    Midpoints get rows of the same kind, read from their ends' rows.  A
     search on these rows raises BallTooSmall when its shell scan runs out
     at the radius (module docstring).
-    `held[0]` counts the distances and walks held; the rows share that
+    `held[0]` counts the distances held; the rows share that
     cell rather than point back here, so a dropped cache is freed at once.
     Its rows are not `strict`: they hold FAR beyond the ball.
     """
@@ -185,7 +184,6 @@ class DistanceRows(dict):
         self.ball = ball
         self.held = [0]
         self.mid_rows: dict[tuple[int, int], _MidRow] = {}
-        self.walks: dict[tuple[Point, Point], tuple[int, ...]] = {}
 
     def __missing__(self, u: int) -> _Row:
         row = self[u] = _Row(self.ball, u, self.held, self.strict)
@@ -200,34 +198,18 @@ class DistanceRows(dict):
             row = self.mid_rows[key] = _MidRow(self[p.a], self[p.b])
         return row
 
-    def walk(self, p: Point, q: Point) -> tuple[int, ...]:
-        """Vertex ids along ball.geodesic(p, q): from the nearest end of p
-        to that of q, along ball.vertex_geodesic_word, which raises
-        BallTooSmall where the path leaves the ball."""
-        ids = self.walks.get((p, q))
-        if ids is None:
-            ball = self.ball
-            _, e, f = ball._nearest_ends(p, q)
-            adj = ball.adj
-            walk = [e]
-            for gen in ball.vertex_geodesic_word(e, f):
-                walk.append(adj[walk[-1]][gen])
-            ids = self.walks[p, q] = tuple(walk)
-            self.held[0] += 1
-        return ids
-
 
 class FillRows(DistanceRows):
     """DistanceRows on which a search's result does not depend on the ball.
 
     Its rows are `strict`.  A search with t_halves=False on these rows
     raises BallTooSmall where a larger ball could change its result: at
-    a FAR read, at an index miss in a scanned shell at a point that could
-    still win, or, as on any rows, when the shell scan runs out at the
-    radius (module docstring).  Otherwise it reads the same shells, ids
-    and exact distances on every larger ball, as vertex ids are a BFS
-    prefix, and returns the same point.  vankampen.fill grows its ball
-    on the signal.
+    a FAR read in the scan, at an index miss in a scanned shell at a
+    point that could still win, or, as on any rows, when the shell scan
+    runs out at the radius (module docstring).  Otherwise it returns the
+    same point on every larger ball: vertex ids are a BFS prefix, every
+    distance it reads is exact, and the seed's offers, which may differ,
+    change no result.  vankampen.fill grows its ball on the signal.
     """
 
     strict = True
@@ -235,15 +217,13 @@ class FillRows(DistanceRows):
 
 def bounded_rows(rows: DistanceRows) -> DistanceRows:
     """rows, or a fresh cache of its kind on its ball once rows holds more
-    than _CACHE_ENTRIES distances and walks."""
+    than _CACHE_ENTRIES distances."""
     return type(rows)(rows.ball) if rows.held[0] > _CACHE_ENTRIES else rows
 
 
-def _d2(p: Point, p_row, q: Point, q_row) -> int:
-    """Twice the distance of distinct points from doubled rows, read from
-    a vertex's row where one is; a midpoint adds one to its nearer end."""
-    if p.kind == HALF and q.kind == VERTEX:
-        p, p_row, q = q, q_row, p
+def _d2(p_row, q: Point) -> int:
+    """Twice the distance to q from the point of the doubled row p_row,
+    for distinct points: a midpoint q adds one to its nearer end."""
     if q.kind == VERTEX:
         return p_row[q.a]
     du, dv = p_row[q.a], p_row[q.b]
@@ -265,9 +245,9 @@ class _MedianSearch:
         self.t_halves = t_halves
         xr, yr, zr = rows.point_row(x), rows.point_row(y), rows.point_row(z)
         self.xr, self.yr, self.zr = xr, yr, zr
-        self.dxy2 = _d2(x, xr, y, yr)
-        self.dyz2 = _d2(y, yr, z, zr)
-        self.dzx2 = _d2(z, zr, x, xr)
+        self.dxy2 = _d2(xr, y)
+        self.dyz2 = _d2(yr, z)
+        self.dzx2 = _d2(zr, x)
         self.best_key: tuple = (math.inf,)  # above every key
 
     def mids_lose(self, u: int, s: int) -> bool:
@@ -327,31 +307,43 @@ class _MedianSearch:
         the triple's own midpoints.  Returns True when the cap aborts the
         triple.
 
-        The Gromov point of a pair (a, b) with third point c is the inner
-        vertex of walk(a, b) at the Gromov product (b|c)_a from its start,
-        rounded down, a near-median where slack is small.  A walk that
-        leaves the ball offers nothing (module docstring)."""
+        The Gromov point of a pair (a, b) with third point c lies
+        floor((b|c)_a) steps from the end of a nearer to b, on a geodesic
+        to b: each step goes to the first in-ball neighbour, in adjacency
+        order, whose entry in b's row is 2 less.  A pair whose descent
+        finds no such neighbour, or reads FAR on strict rows, offers
+        nothing (module docstring)."""
         x, y, z = self.x, self.y, self.z
         xr, yr, zr = self.xr, self.yr, self.zr
         dxy2, dyz2, dzx2 = self.dxy2, self.dyz2, self.dzx2
-        walk_of = self.rows.walk
-        # g4 = 4 (b|c)_a, from doubled d(a, b) + d(a, c) - d(b, c)
-        for a, b, g4 in ((x, y, dxy2 + dzx2 - dyz2),
-                         (y, z, dyz2 + dxy2 - dzx2),
-                         (z, x, dzx2 + dyz2 - dxy2)):
+        adj = self.ball.adj
+        # b's row br, and g4 = 4 (b|c)_a from doubled
+        # d(a, b) + d(a, c) - d(b, c)
+        for a, br, g4 in ((x, yr, dxy2 + dzx2 - dyz2),
+                          (y, zr, dyz2 + dxy2 - dzx2),
+                          (z, xr, dzx2 + dyz2 - dxy2)):
             s = self.best_key[0]
             if s <= cap2:
                 return True
             if s == 0:
                 break
             try:
-                walk = walk_of(a, b)
+                u = a.a
+                if a.kind == HALF and br[a.b] < br[u]:
+                    u = a.b
+                d2 = br[u]
+                for _ in range(g4 // 4):
+                    d2 -= 2
+                    for w in adj[u]:
+                        if w >= 0 and br[w] == d2:
+                            u = w
+                            break
+                    else:
+                        break  # no in-ball step nearer to b
+                else:
+                    self._offer(VERTEX, u, -1, xr[u], yr[u], zr[u])
             except BallTooSmall:
-                continue
-            i = g4 // 4
-            if 0 < i < len(walk) - 1:
-                tid = walk[i]
-                self._offer(VERTEX, tid, -1, xr[tid], yr[tid], zr[tid])
+                pass
         if self.t_halves:
             # a midpoint of the triple lies 0 from itself and the pair
             # distances from the other two points
@@ -562,7 +554,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
     n = len(points)
     if sampling == "exhaustive" and n ** 3 > EXHAUSTIVE_TRIPLE_CAP:
         sampling, samples = "sampled", samples or DEFAULT_FORCED_SAMPLES
-    elif sampling == "sampled" and samples <= 0:
+    if sampling == "sampled" and samples <= 0:
         raise InputError("sampled mode needs a positive sample count")
     label = f"sampled({samples},{seed})" if sampling == "sampled" else sampling
 
@@ -591,8 +583,7 @@ def estimate_delta(ball: BallIndex, radius: int, domain: str = "half",
             cap2 = int(2 * cap)
 
     def pair2(i, j):  # twice the distance, read as the search reads it
-        p, q = points[i], points[j]
-        return _d2(p, rows.point_row(p), q, rows.point_row(q))
+        return _d2(rows.point_row(points[i]), points[j])
 
     # slack at t = x is max(0, dxy + dzx - dyz), and so on
     if sampling == "exhaustive":

@@ -190,7 +190,7 @@ class _Splits(dict):
         stand on the larger one; the distance cache starts afresh on it."""
         r = self.ball.radius
         self.ball = build_ball(self.ball.group, r + max(r // 4, 4),
-                               self.ball.max_vertices, self.ball)
+                               source=self.ball)
         self.rows = FillRows(self.ball)
 
 
@@ -283,24 +283,21 @@ def to_conjugate_product(tree: SubdivisionTree) -> list[tuple[Word, Word]]:
 
 
 def random_identity_word(group: Group, n: int, seed,
-                         ball: BallIndex | None = None) -> Word:
+                         ball: BallIndex) -> Word:
     """A seeded identity word of length at most n.
 
-    Walks n // 2 uniform generator steps, then returns along a geodesic.
-    Deterministic per (group, n, seed).
+    Walks n // 2 uniform generator steps to an element e, then returns
+    along ball.word_to(e), which raises BallTooSmall when e lies outside
+    the ball and the group has no closed-form geodesics.  Deterministic
+    per (group, n, seed), as every ball's BFS tree extends the smaller
+    ones'.
     """
     if n < 2:
         raise InputError("identity words need length at least 2")
     rng = random.Random(seed)
-    steps = n // 2
     k = len(group.alphabet)
-    walk = tuple(rng.randrange(k) for _ in range(steps))
-    e = group.evaluate(walk)
-    back = group.geodesic_word(e)
-    if back is None:
-        if ball is None or ball.index.get(e) is None:
-            ball = build_ball(group, steps)
-        back = ball.word_to(e)
+    walk = tuple(rng.randrange(k) for _ in range(n // 2))
+    back = ball.word_to(group.evaluate(walk))
     return free_reduce(walk + invert(back))
 
 

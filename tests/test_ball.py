@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayleylab import ball as ball_mod
 from cayleylab.ball import FAR, VERTEX, Point, build_ball
 from cayleylab.errors import InputError, ResourceError
 from cayleylab.groups import RewritingGroup, get_group
@@ -184,14 +185,16 @@ def test_geodesic_examples():
 
 def test_geodesic_length_equals_distance_sampled():
     """Vertices and midpoints alike: the path joins an end of p to an end
-    of q inside the ball, and its length is the distance."""
-    for name in ["z2-std", "z2-abc", "heisenberg", "f2"]:
-        ball = build_ball(get_group(name), 6)
+    of q inside the ball, and its length is the distance, which adds half
+    a step per midpoint to the length of its word."""
+    for name in ["z2-std", "z2-abc", "heisenberg", "f2", "z2-rules"]:
+        ball = build_ball(_named_group(name), 6)
         inner = [vid for vid in range(len(ball)) if ball.dist[vid] <= 3]
         points = [Point.vertex(u) for u in inner] + [
             Point.half(u, v) for u in inner for v in ball.adj[u]
             if v > u and ball.dist[v] <= 3]
         rng = random.Random(4)
+        offsets = set()
         for _ in range(300):
             p, q = rng.choice(points), rng.choice(points)
             path = ball.geodesic(p, q)
@@ -203,11 +206,13 @@ def test_geodesic_length_equals_distance_sampled():
                 assert path.word == ()
             else:
                 assert path.length == len(path.word) + HALF * halves
+                offsets.add(path.length - len(path.word))
             cur = path.start_vertex
             for gen in path.word:
                 cur = ball.adj[cur][gen]
                 assert cur >= 0
             assert cur == path.end_vertex
+        assert offsets == {0, HALF, 1}, name
 
 
 def test_sphere_pairs_z2_std():
@@ -272,7 +277,7 @@ a a a -> a^ a^
 a^ a^ a^ -> a a
 """
 BALL_FIELDS = ("elements", "index", "dist", "parent_gen", "adj", "shell_start",
-               "radius", "max_vertices")
+               "radius")
 
 
 # cyclic groups Z/n on one generator, for the bipartite tests below
@@ -316,22 +321,28 @@ def test_ball_from_source_equals_fresh_build(name, radius):
                     (r0, r, field)
 
 
-def test_ball_from_source_hits_the_cap_like_a_fresh_build():
+def test_ball_from_source_hits_the_cap_like_a_fresh_build(monkeypatch):
     group = get_group("z2-std")
+    z5 = _named_group("z5-rules")
+    # the source balls are built under the default cap
+    sources = [build_ball(group, r0) for r0 in range(7)]
+    z5_source = build_ball(z5, 3)
     for radius, cap, r0 in ((10, 100, 3), (10, 100, 6), (6, 84, 2)):
+        monkeypatch.setattr(ball_mod, "MAX_VERTICES", cap)
         with pytest.raises(ResourceError) as fresh:
-            build_ball(group, radius, cap)
+            build_ball(group, radius)
         with pytest.raises(ResourceError) as derived:
-            build_ball(group, radius, cap, build_ball(group, r0))
+            build_ball(group, radius, source=sources[r0])
         assert str(derived.value) == str(fresh.value)
     # Z/5 is whole at radius 2, so growing its ball discovers nothing
-    z5 = _named_group("z5-rules")
+    monkeypatch.setattr(ball_mod, "MAX_VERTICES", 4)
     with pytest.raises(ResourceError):
-        build_ball(z5, 4, 4)
+        build_ball(z5, 4)
     with pytest.raises(ResourceError):
-        build_ball(z5, 4, 4, build_ball(z5, 3))
+        build_ball(z5, 4, source=z5_source)
     # exactly at the cap both succeed: |B(6)| = 85
-    assert len(build_ball(group, 6, 85, build_ball(group, 2))) == 85
+    monkeypatch.setattr(ball_mod, "MAX_VERTICES", 85)
+    assert len(build_ball(group, 6, source=sources[2])) == 85
 
 
 def test_ball_from_source_of_another_group_rejected():

@@ -349,9 +349,14 @@ def test_negative_sample_count_is_an_input_error(capsys):
     # the default --delta auto checks n_max before it estimates delta
     (["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1"],
      "n_max must be >= 0"),
+    # the F2 domain is past EXHAUSTIVE_TRIPLE_CAP, so --exhaustive falls
+    # back to sampling, which needs a positive count
+    (["delta", "--group", "f2", "--radius", "6", "--domain", "vertices",
+      "--exhaustive", "--samples", "-5"],
+     "sampled mode needs a positive sample count"),
 ])
 def test_negative_sizes_are_one_line_input_errors(argv, message, capsys):
-    # before, both printed an empty result and exited 0
+    # before, each printed a result and exited 0
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

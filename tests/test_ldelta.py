@@ -391,8 +391,7 @@ def test_candidates_lie_in_the_gromov_annulus(name, domain):
         triple_rows = [(p, rows.point_row(p)) for p in triple]
 
         def d2(t):  # doubled distances to x, y, z
-            t_row = rows.point_row(t)
-            return [0 if p == t else ldelta._d2(p, p_row, t, t_row)
+            return [0 if p == t else ldelta._d2(p_row, t)
                     for p, p_row in triple_rows]
 
         pair2 = [d2(p) for p in triple]
@@ -470,6 +469,65 @@ def test_median_whose_geodesic_leaves_the_ball_is_an_input_error():
     assert med == median(big, x, y, z)
 
 
+def seed_offers(ball, rows, triple, t_halves):
+    """(vertex id, dx, dy, dz) of each vertex the seed offers, in order."""
+    search = ldelta._MedianSearch(ball, rows, *triple, t_halves)
+    offers = []
+    offer = search._offer
+
+    def recorded(kind, a, b, dx, dy, dz):
+        if kind == VERTEX:
+            offers.append((a, dx, dy, dz))
+        offer(kind, a, b, dx, dy, dz)
+
+    search._offer = recorded
+    search.seed(-1)
+    return offers
+
+
+def test_seed_steps_inside_the_ball_where_the_tree_geodesic_leaves_it():
+    # (y|z)_x = 1, and the tree geodesic a a b^ from x to y leaves the
+    # ball; the descent on y's row steps from x to (2,1) inside it.  The
+    # pair (y, z) then offers (1,0), of slack 0, which ends the seed
+    ball = build_ball(get_group("z2-std"), 3)
+    triple = [vp(ball, e) for e in ((1, 1), (3, 0), (0, 0))]
+    offers = seed_offers(ball, DistanceRows(ball), triple, True)
+    assert [ball.elements[t] for t, *_ in offers] == [(2, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+@pytest.mark.parametrize("domain", ["vertices", "half"])
+def test_seed_offers_lie_on_geodesics_at_the_gromov_product(name, domain,
+                                                            brute):
+    # each vertex t the seed offers lies, for a pair (a, b) with third
+    # point c, on a geodesic from an end e of a nearest to b on to b, with
+    # d(e, t) = floor((b|c)_a); it is offered at its true distances
+    group, metric = brute(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, domain)
+    rows = DistanceRows(ball)
+    rng = random.Random(59)
+    offered = 0
+    for _ in range(60):
+        triple = [pts[i] for i in rng.sample(range(len(pts)), 3)]
+        brute_triple = [brute_point(ball, p) for p in triple]
+        for tid, *dist2 in seed_offers(ball, rows, triple, domain == "half"):
+            t = brute_point(ball, Point.vertex(tid))
+            assert dist2 == [metric.d2(t, p) for p in brute_triple]
+            found = False
+            for i in range(3):
+                a, b, c = (brute_triple[(i + k) % 3] for k in range(3))
+                g4 = metric.d2(a, b) + metric.d2(a, c) - metric.d2(b, c)
+                near = min(metric.d2((e,), b) for e in a)
+                found |= any(metric.d2((e,), b) == near
+                             and metric.d2((e,), t) == 2 * (g4 // 4)
+                             and metric.d2((e,), t) + metric.d2(t, b) == near
+                             for e in a)
+            assert found, (triple, tid)
+            offered += 1
+    assert offered > 50
+
+
 # caps in the search's doubled units are floor(2 * cap): -1/4 is no cap
 CAPS = [None, F(-1), F(-1, 4), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2),
         F(3)]
@@ -517,38 +575,6 @@ def test_fill_search_is_none_exactly_when_its_slack_is_within_the_cap(name):
     assert within > 300
 
 
-@pytest.mark.parametrize("name", GROUP_NAMES)
-def test_walks_follow_geodesics(name):
-    # DistanceRows.walk steps along vertex_geodesic_word from the nearest
-    # ends itself; it must walk the path ball.geodesic returns, whose
-    # length adds half a step per midpoint to the vertex distance
-    group = group_of(name)
-    ball = build_ball(group, recommended_ball_radius(group, 3))
-    pts = domain_points(ball, 3, "half")
-    kinds = {VERTEX: [p for p in pts if p.kind == VERTEX],
-             HALF: [p for p in pts if p.kind == HALF]}
-    rows = DistanceRows(ball)
-    rng = random.Random(47)
-    offsets = set()
-    for kp, kq in ((VERTEX, VERTEX), (VERTEX, HALF), (HALF, VERTEX),
-                   (HALF, HALF)):
-        for _ in range(60):
-            p, q = rng.choice(kinds[kp]), rng.choice(kinds[kq])
-            if p == q:
-                continue
-            path = ball.geodesic(p, q)
-            ids = [path.start_vertex]
-            for gen in path.word:
-                ids.append(ball.adj[ids[-1]][gen])
-            assert ids[-1] == path.end_vertex
-            assert rows.walk(p, q) == tuple(ids)
-            assert path.length == ball.try_distance(p, q)
-            offset = path.length - len(path.word)
-            assert offset == F(kp + kq, 2)
-            offsets.add(offset)
-    assert offsets == {0, F(1, 2), 1}
-
-
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 def test_shared_chunk_cache_matches_fresh_median(name):
     # one cache serves a whole chunk of triples in estimate_delta; every
@@ -564,7 +590,7 @@ def test_shared_chunk_cache_matches_fresh_median(name):
             assert median(ball, x, y, z, cap=cap, _rows=rows) == \
                 median(ball, x, y, z, cap=cap)
     held = (sum(map(len, rows.values())) +
-            sum(map(len, rows.mid_rows.values())) + len(rows.walks))
+            sum(map(len, rows.mid_rows.values())))
     assert rows.held[0] == held
 
 

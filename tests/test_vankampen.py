@@ -235,13 +235,27 @@ def test_random_identity_word_properties(z2):
     assert random_identity_word(z2, 20, 7, ball=ball) == \
         random_identity_word(z2, 20, 7, ball=ball)
     with pytest.raises(InputError):
-        random_identity_word(z2, 1, 0)
+        random_identity_word(z2, 1, 0, ball=build_ball(z2, 0))
 
 
 def test_random_identity_word_free_group():
     group = get_group("f2")
-    w = random_identity_word(group, 16, 3)
+    w = random_identity_word(group, 16, 3, ball=build_ball(group, 0))
     assert w == ()  # the closure exactly unwinds the reduced walk
+
+
+def test_random_identity_word_needs_its_end_in_the_ball():
+    # Heisenberg has no closed-form geodesics, so the way back is read off
+    # the ball's BFS tree, and every ball containing the walk's end gives
+    # the same word
+    group = get_group("heisenberg")
+    with pytest.raises(BallTooSmall):
+        random_identity_word(group, 8, 0, ball=build_ball(group, 0))
+    small = build_ball(group, 4)
+    w = random_identity_word(group, 8, 0, ball=small)
+    assert group.evaluate(w) == group.identity()
+    assert w == random_identity_word(group, 8, 0,
+                                     ball=build_ball(group, 9, source=small))
 
 
 # -- dehn_scan --------------------------------------------------------------

@@ -181,6 +181,8 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--y", "a", "--z", "b"],
         ["delta", "--group", "z2-std"],
         ["delta", "--group", "z2-std", "--radius", "-1"],
+        ["delta", "--group", "f2", "--radius", "6", "--domain", "vertices",
+         "--exhaustive", "--samples", "-5"],
         ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1",
          "--delta", "1"],
         ["ac", "--group", "z2-std", "--radius", "3", "--nmax", "-1"],
