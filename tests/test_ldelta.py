@@ -575,6 +575,41 @@ def test_fill_search_is_none_exactly_when_its_slack_is_within_the_cap(name):
     assert within > 300
 
 
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_walks_follow_geodesics(name):
+    # the path ball.geodesic returns descends q's distance row by one step
+    # per generator, as the seed's steps do, and its length adds half a
+    # step per midpoint to the vertex distance
+    group = group_of(name)
+    ball = build_ball(group, recommended_ball_radius(group, 3))
+    pts = domain_points(ball, 3, "half")
+    kinds = {VERTEX: [p for p in pts if p.kind == VERTEX],
+             HALF: [p for p in pts if p.kind == HALF]}
+    rows = DistanceRows(ball)
+    rng = random.Random(47)
+    offsets = set()
+    for kp, kq in ((VERTEX, VERTEX), (VERTEX, HALF), (HALF, VERTEX),
+                   (HALF, HALF)):
+        for _ in range(60):
+            p, q = rng.choice(kinds[kp]), rng.choice(kinds[kq])
+            if p == q:
+                continue
+            path = ball.geodesic(p, q)
+            ids = [path.start_vertex]
+            for gen in path.word:
+                ids.append(ball.adj[ids[-1]][gen])
+            assert ids[-1] == path.end_vertex
+            end_row = rows[path.end_vertex]
+            assert [end_row[t] for t in ids] == \
+                list(range(2 * len(path.word), -1, -2))
+            assert path.length == ball.try_distance(p, q)
+            assert 2 * path.length == ldelta._d2(rows.point_row(p), q)
+            offset = path.length - len(path.word)
+            assert offset == F(kp + kq, 2)
+            offsets.add(offset)
+    assert offsets == {0, F(1, 2), 1}
+
+
 @pytest.mark.parametrize("name", ["z2-std", "z2-abc", "f2", "heisenberg"])
 def test_shared_chunk_cache_matches_fresh_median(name):
     # one cache serves a whole chunk of triples in estimate_delta; every
