@@ -11,10 +11,11 @@ of vertices below norm r agree, and only the outer shell's rows differ,
 keeping just in-ball ids.  build_ball(..., source=b) uses this to grow a
 ball by resuming the BFS of a smaller one.
 
-For a bipartite group (Group.bipartite: no relator of odd length) the
-outer shell costs no group product: every edge joins shells n and n + 1,
-so an outer vertex's in-ball edges are exactly the reversed edges into
-it from the expanded shell below, and its row is filled from those.
+Each edge costs one group product, made at its end that is expanded
+first: w = u g also gives the far end's entry adj[w][g ^ 1] = u.  For a
+bipartite group (Group.bipartite: no relator of odd length) every edge
+joins shells n and n + 1, so the outer shell's in-ball edges all come
+from the shell below, and the outer shell costs no product at all.
 
 The ball is connected: each vertex joins the identity along its BFS-tree
 edge, and a group's edges go both ways (RewritingGroup checks definition
@@ -113,8 +114,8 @@ class BallIndex:
             self.index: dict[Element, int] = {self.elements[0]: 0}
             self.dist: list[int] = [0]
             self.parent_gen: list[int] = [-1]
-            self.adj: list[list[int]] = []
-            self._expand(0)
+            self.adj: list[list[int]] = [[-1] * len(group.alphabet)]
+            self._expand(range(1), 0)
         else:
             # resume the source's BFS at its unexpanded outer shell
             if source.group is not group:
@@ -129,8 +130,11 @@ class BallIndex:
             self.index = dict(source.index)
             self.dist = list(source.dist)
             self.parent_gen = list(source.parent_gen)
+            # expanded rows are complete, so they are shared; the outer
+            # shell's rows gain entries, so they are copied
             self.adj = source.adj[:expanded]
-            self._expand(expanded)
+            self.adj += [row[:] for row in source.adj[expanded:]]
+            self._expand(range(expanded, len(self.elements)), source.radius)
 
         # dist is nondecreasing in the vertex id, so shell d starts at the
         # first id of norm >= d; an empty shell starts where the next one does
@@ -139,56 +143,60 @@ class BallIndex:
         self._edges: list[tuple[int, int]] | None = None
         self._inverse_cache: dict[int, Element] = {}
 
-    def _expand(self, vid: int) -> None:
-        """Run the BFS from vertex id vid to the radius.
+    def _expand(self, shell: range | list[int], d: int) -> None:
+        """Run the BFS from shell d, the vertex ids in shell, to the radius.
 
-        Vertices are expanded in id order, which is BFS order; each
-        expanded vertex's adjacency row comes from the same apply calls
-        that discover its neighbours.  Rows below vid must already be
-        expanded.
+        Each edge is found once, by the apply at its end that is expanded
+        first (of a loop, at its even generator), and that apply also
+        writes the far end's entry: w = u g gives adj[w][g ^ 1] = u.  A
+        row is born with its vertex, -1 but for the reverse entry of the
+        edge that discovered it, and expanding a vertex applies only the
+        generators still -1 in its row.  Rows from shell d on must hold
+        their edges to every vertex below shell d.
 
-        The outer shell R costs one apply per generator, unless the group
-        is bipartite.  Then no edge joins two vertices of shell R, and its
-        edges to shell R + 1 leave the ball, so its only in-ball
-        neighbours lie in shell R - 1, whose rows are complete: an outer
-        row is -1 except where a row of shell R - 1 reaches it,
-        adj[u][g] = w, which gives adj[w][g ^ 1] = u.  The rows equal
-        those the apply calls would give, also for R = 0 (no shell
-        below) and for a BFS that ends before R (no outer shell).
+        The outer shell R is never expanded; its rows keep only in-ball
+        edges.  Those to shell R - 1 are filled by then, which for a
+        bipartite group is all of them.  Otherwise each entry still -1
+        costs one apply, and one that lands in the ball, on shell R,
+        fills its reverse entry too.
         """
         elements, index, dist = self.elements, self.index, self.dist
         parent_gen, adj = self.parent_gen, self.adj
-        radius = self.radius
         apply = self.group.apply
-        gens = range(len(self.group.alphabet))
-        while vid < len(elements) and dist[vid] < radius:
-            e = elements[vid]
-            row = []
-            for gen in gens:
-                f = apply(e, gen)
-                nid = index.get(f)
-                if nid is None:
-                    if len(elements) >= MAX_VERTICES:
-                        raise _cap_error()
-                    nid = len(elements)
-                    index[f] = nid
-                    elements.append(f)
-                    dist.append(dist[vid] + 1)
-                    parent_gen.append(gen)
-                row.append(nid)
-            adj.append(row)
-            vid += 1
-        # the outer shell is never expanded; its rows keep only in-ball edges
-        if not self.group.bipartite:
-            for e in elements[vid:]:
-                adj.append([index.get(apply(e, gen), -1) for gen in gens])
-            return
-        adj.extend([-1] * len(gens) for _ in range(vid, len(elements)))
-        for e in elements[bisect_left(dist, radius - 1, 0, vid):vid]:
-            u = index[e]  # the index's own int, as in every other row
-            for gen, w in enumerate(adj[u]):
-                if w >= vid:
+        k = len(self.group.alphabet)
+        gens = range(k)
+        while d < self.radius and shell:
+            nxt = []  # the index's own ints, which every row shares
+            for u in shell:
+                e, row = elements[u], adj[u]
+                for gen in gens:
+                    if row[gen] >= 0:
+                        continue
+                    f = apply(e, gen)
+                    size = len(elements)
+                    w = index.setdefault(f, size)
+                    if w == size:
+                        if size >= MAX_VERTICES:
+                            raise _cap_error()
+                        elements.append(f)
+                        parent_gen.append(gen)
+                        adj.append([-1] * k)
+                        nxt.append(w)
                     adj[w][gen ^ 1] = u
+                    row[gen] = w
+            d += 1
+            dist.extend([d] * len(nxt))
+            shell = nxt
+        if self.group.bipartite:
+            return
+        for u in shell:
+            e, row = elements[u], adj[u]
+            for gen in gens:
+                if row[gen] < 0:
+                    w = index.get(apply(e, gen))
+                    if w is not None:
+                        row[gen] = w
+                        adj[w][gen ^ 1] = u
 
     # -- basic structure ---------------------------------------------------
 

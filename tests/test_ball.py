@@ -1,6 +1,6 @@
-import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +280,11 @@ BALL_FIELDS = ("elements", "index", "dist", "parent_gen", "adj", "shell_start",
                "radius")
 
 
+# the (2,3,7) triangle group's Coxeter group, whose x^ -> x rules make
+# every generator its own inverse
+COXETER_FILE = (Path(__file__).resolve().parent.parent / "examples"
+                / "coxeter-2-3-7.grp")
+
 # cyclic groups Z/n on one generator, for the bipartite tests below
 CYCLIC_RULES_TEXT = {
     "c1-rules": "a -> \na^ -> \n",
@@ -296,6 +301,8 @@ def _named_group(name):
     if name in CYCLIC_RULES_TEXT:
         text = "generators: a\norder: a a^\n" + CYCLIC_RULES_TEXT[name]
         return RewritingGroup(name, parse_group_file(text)[1])
+    if name == "coxeter-2-3-7":
+        return get_group(str(COXETER_FILE))
     return get_group(name)
 
 
@@ -304,8 +311,9 @@ def _named_group(name):
     ("z2-rules", 6), ("z5-rules", 5),
 ])
 def test_ball_from_source_equals_fresh_build(name, radius):
-    """Growing a source ball gives the fresh build, field by field; a
-    source at least as large as the radius asked for is rejected."""
+    """Growing a source ball gives the fresh build, field by field, and
+    leaves the source as it was; a source at least as large as the radius
+    asked for is rejected."""
     group = _named_group(name)
     fresh = [build_ball(group, r) for r in range(radius + 1)]
     for r0 in range(radius + 1):
@@ -319,6 +327,9 @@ def test_ball_from_source_equals_fresh_build(name, radius):
             for field in BALL_FIELDS:
                 assert getattr(ball, field) == getattr(fresh[r], field), \
                     (r0, r, field)
+        for field in BALL_FIELDS:
+            assert getattr(source, field) == getattr(fresh[r0], field), \
+                (r0, field)
 
 
 def test_ball_from_source_hits_the_cap_like_a_fresh_build(monkeypatch):
@@ -350,60 +361,106 @@ def test_ball_from_source_of_another_group_rejected():
         build_ball(get_group("z2-std"), 2, source=build_ball(get_group("f2"), 3))
 
 
-# -- the outer shell of a bipartite group -------------------------------------
+# -- one product per edge, and none for a bipartite outer shell -----------
 
 BIPARTITE = {"f2": True, "f3": True, "heisenberg": True, "z2-std": True,
              "z2-rules": True, "c2-rules": True, "c6-rules": True,
+             "coxeter-2-3-7": True,
              "z2-abc": False, "c1-rules": False, "z5-rules": False}
 
 
-def _not_bipartite(group):
-    """A copy of group whose bipartite reads False, so that its balls
-    find their outer shell's edges by group products."""
-    plain = copy.copy(group)
-    plain.__class__ = type("Plain", (type(group),),
-                           {"bipartite": property(lambda self: False)})
-    return plain
+def _product_ball(group, radius):
+    """The BallIndex fields of a BFS that applies every generator at every
+    vertex, the outer shell's included."""
+    gens = range(len(group.alphabet))
+    elements, dist, parent_gen = [group.identity()], [0], [-1]
+    index = {elements[0]: 0}
+    for e in elements:  # grows as the BFS discovers vertices
+        d = dist[index[e]]
+        if d == radius:
+            break
+        for g in gens:
+            f = group.apply(e, g)
+            if f not in index:
+                index[f] = len(elements)
+                elements.append(f)
+                dist.append(d + 1)
+                parent_gen.append(g)
+    adj = [[index.get(group.apply(e, g), -1) for g in gens] for e in elements]
+    shell_start = [sum(1 for n in dist if n < d) for d in range(radius + 2)]
+    return {"elements": elements, "index": index, "dist": dist,
+            "parent_gen": parent_gen, "adj": adj, "shell_start": shell_start,
+            "radius": radius}
 
 
 @pytest.mark.parametrize("name", sorted(BIPARTITE))
 def test_bipartite_outer_shell_equals_the_product_build(name):
+    """Fresh and grown builds, whose edges each cost one product, equal a
+    BFS that multiplies every edge from both ends, field by field."""
     group = _named_group(name)
-    plain = _not_bipartite(group)
-    assert not plain.bipartite
     for r in range(6):
-        expected = build_ball(plain, r)
+        expected = _product_ball(group, r)
         balls = [build_ball(group, r)]
         balls += [build_ball(group, r, source=build_ball(group, r0))
                   for r0 in range(r)]
         for r0, ball in enumerate(balls, -1):
             for field in BALL_FIELDS:
-                assert getattr(ball, field) == getattr(expected, field), \
-                    (r0, r, field)
+                assert getattr(ball, field) == expected[field], (r0, r, field)
 
 
 @pytest.mark.parametrize("name", sorted(BIPARTITE))
 def test_bipartite_iff_no_edge_within_a_shell(name):
     group = _named_group(name)
     assert group.bipartite is BIPARTITE[name]
-    ball = build_ball(_not_bipartite(group), 4)  # every row from products
-    same_shell = any(ball.dist[u] == ball.dist[w]
-                     for u, row in enumerate(ball.adj) for w in row if w >= 0)
+    ball = _product_ball(group, 4)
+    dist = ball["dist"]
+    same_shell = any(dist[u] == dist[w] for u, row in enumerate(ball["adj"])
+                     for w in row if w >= 0)
     assert group.bipartite is not same_shell
+
+
+def _counting_apply(group):
+    """Wrap group.apply in place; the returned list holds the call count."""
+    calls = [0]
+    apply = group.apply
+
+    def counted(e, gen):
+        calls[0] += 1
+        return apply(e, gen)
+
+    group.apply = counted
+    return calls
 
 
 def test_bipartite_build_skips_the_outer_shell_products():
     group = get_group("f2")
-    calls = 0
-    apply = group.apply
-
-    def counted(e, gen):
-        nonlocal calls
-        calls += 1
-        return apply(e, gen)
-
-    group.apply = counted
+    calls = _counting_apply(group)
     build_ball(group, 6)
-    # one product per generator on each vertex of B_5; a build that also
-    # multiplies out the outer shell makes 4 |B_6| = 5,828
-    assert calls == 4 * 485
+    # one product per edge of the tree B_5 spans, 4 at the identity and 3
+    # at each other vertex of B_5; a build that multiplies from both ends
+    # makes 4 |B_5| = 1,940, and one that also multiplies out the outer
+    # shell 4 |B_6| = 5,828
+    assert calls[0] == 4 + 3 * 484
+
+
+@pytest.mark.parametrize("name", ["f2", "z2-abc", "heisenberg", "z2-rules",
+                                  "c1-rules", "c2-rules", "c6-rules",
+                                  "coxeter-2-3-7"])
+def test_build_makes_one_product_per_edge(name):
+    """A fresh build applies each generator once per edge, at its end of
+    lower id (at its even generator for a loop), plus once per entry of
+    the outer shell that leaves the ball unless the group is bipartite."""
+    group = _named_group(name)
+    calls = _counting_apply(group)
+    ball = build_ball(group, 5)
+    assert calls[0] == sum(
+        1 for u, row in enumerate(ball.adj) for g, w in enumerate(row)
+        if w > u or (w == u and g % 2 == 0)
+        or (w < 0 and not group.bipartite))
+
+
+def test_coxeter_2_3_7_shell_sizes():
+    ball = build_ball(_named_group("coxeter-2-3-7"), 8)
+    assert [len(ball.shell(n)) for n in range(9)] == [
+        1, 3, 5, 7, 9, 12, 16, 20, 24]
+    assert len(ball) == 97

@@ -12,6 +12,8 @@ from cayleylab.errors import InputError
 from cayleylab.groups import get_group
 from test_groups import NON_CONFLUENT_RULES
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # same 8-rule system as in test_rewriting
 Z2_RULES = """\
 # Z^2 on a, b
@@ -235,6 +237,13 @@ def test_check_confluence_pass(tmp_path, capsys):
     assert "locally_confluent=true" in out
 
 
+def test_check_confluence_on_the_coxeter_example(capsys):
+    path = ROOT / "examples" / "coxeter-2-3-7.grp"
+    code, out, _ = run(capsys, "check-confluence", "--file", str(path))
+    assert code == 0
+    assert out == "rules=18\nunresolved=0\nlocally_confluent=true\n"
+
+
 def test_check_confluence_fail(tmp_path, capsys):
     path = tmp_path / "bad.grp"
     path.write_text(BAD_RULES)
@@ -451,13 +460,26 @@ def test_fill_payloads_do_not_depend_on_ball_sizing(argv, expected, capsys):
     assert out == expected
 
 
-def test_readme_states_the_cli_gate_count():
-    root = Path(__file__).resolve().parent.parent
+def _cli_gate():
+    """tools/cli_gate.py as a module."""
     spec = importlib.util.spec_from_file_location(
-        "cli_gate", root / "tools" / "cli_gate.py")
+        "cli_gate", ROOT / "tools" / "cli_gate.py")
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
-    readme = (root / "README.md").read_text(encoding="utf-8")
+    return gate
+
+
+def test_cli_gate_embeds_the_coxeter_example():
+    gate = _cli_gate()
+    text = (ROOT / "examples" / "coxeter-2-3-7.grp").read_text(
+        encoding="utf-8")
+    assert gate.COXETER_RULES == text
+
+
+def test_readme_states_the_cli_gate_count():
+    gate = _cli_gate()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.search(r"It runs (\d+) command lines", readme)
     assert stated is not None
-    assert int(stated.group(1)) == len(gate.configurations("z2", "bad"))
+    configs = gate.configurations("z2", "bad", "coxeter")
+    assert int(stated.group(1)) == len(configs)

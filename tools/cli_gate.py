@@ -33,6 +33,24 @@ b^ a -> a b^
 b^ a^ -> a^ b^
 """
 
+# the (2,3,7) triangle group's Coxeter group, examples/coxeter-2-3-7.grp
+COXETER_RULES = """\
+generators: x y z
+order: x x^ z z^ y y^
+x^ -> x
+y^ -> y
+z^ -> z
+x x ->
+y x -> x y
+y y ->
+z z ->
+y z y -> z y z
+y z x y -> z y z x
+y z x z y z -> z y z x z y
+z x z x z x z -> x z x z x z x
+y z x z x y z x z x z x -> z y z x z x y z x z x z
+"""
+
 BAD_RULES = """\
 generators: a b
 order: a a^ b b^
@@ -45,7 +63,8 @@ HEIS_W1 = "a,b,a^,b^,a,b,a,b^,a^,a^"
 HEIS_W2 = "a,a,b,b,a^,a^,b^,b^,a,a,b,b,a,a,b^,b^,a^,a^,a^,a^"
 
 
-def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
+def configurations(z2_file: str, bad_file: str,
+                   coxeter_file: str) -> list[list[str]]:
     z2c = "a,a,b,b,a^,a^,b^,b^"
     return [
         # ball
@@ -57,6 +76,7 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["ball", "--group", "f3", "--radius", "3", "--dot"],
         ["ball", "--group", "heisenberg", "--radius", "3", "--dot"],
         ["ball", "--group", z2_file, "--radius", "3", "--dot"],
+        ["ball", "--group", coxeter_file, "--radius", "6", "--dot"],
         # delta
         ["delta", "--group", "z2-std", "--radius", "4", "--domain",
          "vertices", "--exhaustive", "--json"],
@@ -79,6 +99,8 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
         ["delta", "--group", "f2", "--radius", "2", "--domain", "half",
          "--samples", "2000", "--seed", "3", "--json"],
         ["delta", "--group", z2_file, "--radius", "3", "--domain",
+         "vertices", "--exhaustive"],
+        ["delta", "--group", coxeter_file, "--radius", "3", "--domain",
          "vertices", "--exhaustive"],
         ["delta", "--group", "z2-abc", "--radius", "5", "--domain",
          "vertices", "--exhaustive"],
@@ -127,6 +149,9 @@ def configurations(z2_file: str, bad_file: str) -> list[list[str]]:
          "--delta", "1/1"],
         ["ac", "--group", "f3", "--radius", "5", "--nmax", "4", "--delta",
          "0/1"],
+        # delta-hat of radius 4 is 2, too small: C_6 = 12 > 3 * 2 + 2
+        ["ac", "--group", coxeter_file, "--radius", "10", "--nmax", "9",
+         "--delta", "2/1"],
         # fill
         ["fill", "--group", "z2-std", "--word", z2c, "--emit", "product"],
         ["fill", "--group", "z2-std", "--word",
@@ -213,11 +238,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         z2_file = os.path.join(tmp, "z2.grp")
         bad_file = os.path.join(tmp, "bad.grp")
-        with open(z2_file, "w", encoding="utf-8") as fh:
-            fh.write(Z2_RULES)
-        with open(bad_file, "w", encoding="utf-8") as fh:
-            fh.write(BAD_RULES)
-        configs = configurations(z2_file, bad_file)
+        coxeter_file = os.path.join(tmp, "coxeter-2-3-7.grp")
+        for path, text in ((z2_file, Z2_RULES), (bad_file, BAD_RULES),
+                           (coxeter_file, COXETER_RULES)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        configs = configurations(z2_file, bad_file, coxeter_file)
         for argv in configs:
             label = " ".join(argv).replace(tmp + os.sep, "")
             before, t_before = run(parent, argv, tmp)
